@@ -29,6 +29,10 @@
 #                plus replay of the checked-in minimized regression trace,
 #                plus the same matrix refereed 1-shard vs 4-shard;
 #                fails on any divergence.
+#   perfbench-smoke  scripts/perfbench_smoke.py: builds perfbench/ into
+#                .bench_build/ and runs each workload once (seed 1, 1 s,
+#                untraced); fails unless every result is correct with 0
+#                failed operations.
 #
 # Extras that CI runs implicitly via the test suite, kept from the original
 # hygiene gate: the ocn-verify positive/negative smoke.
@@ -165,5 +169,8 @@ echo "== [diff-smoke] lockstep reference-model campaign =="
 "./$FIRST_BUILD/examples/ocn-diff" \
   --replay tests/data/lockstep_chaos_regression.trace \
   --kill-node 0 --kill-port row+ --kill-cycle 60
+
+echo "== [perfbench-smoke] every benchmark workload once, checked correct =="
+python3 scripts/perfbench_smoke.py
 
 echo "All checks passed."

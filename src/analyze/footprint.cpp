@@ -143,7 +143,7 @@ FootprintModel build_footprint(const core::Config& config,
         m.add_state(State{"nic." + node + ".state", 0, false, kSerialShard, false, false});
     // Per-port arrival bytes (the pool's wake row / the NIC's arrival
     // flags): stamped by the phase-B advance of each incoming channel,
-    // scanned by the kernel's event-skip test and read/cleared by the
+    // scanned by the receiver's quiescent() and read/cleared by the
     // receiving component in phase A. The stamping accesses are added by
     // add_channel below; here the receiver's own step accesses.
     router_wake[static_cast<std::size_t>(i)] =
@@ -297,7 +297,7 @@ FootprintModel build_footprint(const core::Config& config,
       "with >= 1 cycle of slack and an unconditional advance",
       chan_states});
   {
-    // The event-skip hybrid's correctness hinges on receiver-shard filing:
+    // The arrival bytes' correctness hinges on receiver-shard filing:
     // the phase-B advance that stamps an arrival byte must run on the same
     // shard whose phase-A step reads and clears it next cycle.
     ObligationSpec wake;

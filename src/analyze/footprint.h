@@ -1,6 +1,6 @@
-// Access-footprint model of one sharded-kernel tick.
+// Access-footprint model of one kernel tick with N shards.
 //
-// The sharded kernel's safety argument (sim/sharded_kernel.h) is a claim
+// The kernel's shard-safety argument (sim/kernel.h) is a claim
 // about *data flow*: every piece of state two shard workers both touch is a
 // channel whose latency puts at least one barrier between the producing
 // write and the consuming read. This model makes that data flow explicit so
@@ -13,7 +13,7 @@
 //
 //   components  every router, NIC, per-shard channel advancer, plus the
 //               serial-phase globals (traffic clients/services/monitor and
-//               the end-of-tick observer flush);
+//               the kernel's end-of-tick hook, Network's observer flush);
 //   states      every piece of shared mutable state a tick touches: channel
 //               delay lines (flit + credit per link, tile ports), per-node
 //               router/NIC internals (arbiter pointers, buffers, stats),
@@ -36,7 +36,7 @@
 
 namespace ocn::analyze {
 
-/// Tick phases, in the order the sharded kernel executes them. Accesses in
+/// Tick phases, in the order the kernel executes them. Accesses in
 /// the same parallel phase by different shards are concurrent; everything
 /// else is ordered by the barriers between phases.
 enum class Phase : int {

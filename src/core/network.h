@@ -22,7 +22,6 @@
 #include "router/router.h"
 #include "routing/route_computer.h"
 #include "sim/kernel.h"
-#include "sim/sharded_kernel.h"
 
 namespace ocn::core {
 
@@ -71,8 +70,8 @@ struct LinkUsage {
 class Network {
  public:
   /// `shards` partitions the fabric into that many row strips stepped
-  /// concurrently by a ShardedKernel (bit-identical to the single kernel;
-  /// see src/sim/sharded_kernel.h for the argument). 0 means "use the
+  /// concurrently by the kernel (bit-identical to one shard; see
+  /// src/sim/kernel.h for the argument). 0 means "use the
   /// OCN_SIM_SHARDS environment variable, default 1"; values are clamped
   /// to [1, radix]. Sharding is an execution strategy, not a model
   /// parameter: it is deliberately NOT part of Config, so fingerprints and
@@ -100,7 +99,7 @@ class Network {
     for (Cycle i = 0; i < cycles; ++i) step();
   }
 
-  /// Number of spatial shards stepping concurrently (1 = single kernel).
+  /// Number of spatial shards stepping concurrently (1 = stepped inline).
   int shards() const { return shards_; }
   /// The explicit node -> shard assignment the kernel executes — the same
   /// description the static concurrency analyzer (src/analyze) proves safe.
@@ -109,7 +108,7 @@ class Network {
   int shard_of(NodeId n) const { return partition_.shard_of(n); }
 
   /// The cycle kernel; traffic sources register themselves here so they
-  /// advance in lockstep with the network.
+  /// advance in lockstep with the network. kernel().tick() is step().
   Kernel& kernel() { return kernel_; }
 
   /// True when no flits are queued or in flight anywhere.
@@ -147,15 +146,15 @@ class Network {
   FaultyLinkTransform* link_fault(NodeId node, topo::Port port);
 
   /// Record every link traversal into `recorder` (nullptr disables).
-  /// Costs one branch per link send while enabled.
+  /// Events are buffered per node and flushed in node order at the end of
+  /// each cycle, like delivery observers.
   void enable_tracing(TraceRecorder* recorder);
 
   /// Install `observer` on every NIC (see Nic::set_delivery_observer); the
   /// differential harness uses this to log network-wide ejection order.
-  /// In sharded mode deliveries are buffered per node during the parallel
-  /// phase and the observer runs on the stepping thread in node order at
-  /// the end of each cycle — the same global order the single kernel
-  /// produces (it steps NICs in node order).
+  /// Deliveries are buffered per node while the shards step and the
+  /// observer runs on the stepping thread in node order at the end of each
+  /// cycle, so the order is the same at every shard count.
   void set_delivery_observer(Nic::DeliveryObserver observer);
 
   // --- statistics ------------------------------------------------------------
@@ -194,10 +193,9 @@ class Network {
   Config config_;
   std::unique_ptr<topo::Topology> topology_;
   routing::RouteComputer routes_;
-  Kernel kernel_;
   int shards_ = 1;
   ShardPartition partition_;
-  std::unique_ptr<ShardedKernel> sharded_;  // null when shards_ == 1
+  Kernel kernel_;
 
   /// One RouterStatePool per shard: a shard's routers occupy consecutive
   /// slots of one contiguous allocation, so the phase-A workers touch
@@ -212,8 +210,8 @@ class Network {
   std::vector<LinkChannels> eject_links_;
   std::vector<std::unique_ptr<FaultyLinkTransform>> fault_transforms_;
 
-  // Sharded-mode observer plumbing: callbacks fired during the parallel
-  // phase land in per-node buffers, replayed in node order at end of cycle.
+  // Observer plumbing: callbacks fired while the shards step land in
+  // per-node buffers, replayed in node order at the end of each cycle.
   Nic::DeliveryObserver delivery_observer_;
   TraceRecorder* trace_recorder_ = nullptr;
   std::vector<std::vector<Packet>> delivery_buffers_;

@@ -19,10 +19,10 @@ Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes
       vc_queues_(static_cast<std::size_t>(config.router.vcs)),
       queued_packets_per_class_(4, 0),
       credits_(static_cast<std::size_t>(config.router.vcs), config.router.buffer_depth),
-      inject_arb_(config.router.vcs),
+      inject_arb_(config.router.vcs, &inject_rotation_),
       eject_pending_(static_cast<std::size_t>(config.router.vcs)),
       eject_stalled_(static_cast<std::size_t>(config.router.vcs), false),
-      eject_arb_(config.router.vcs),
+      eject_arb_(config.router.vcs, &eject_rotation_),
       reassembly_(static_cast<std::size_t>(config.router.vcs)),
       req_scratch_(static_cast<std::size_t>(config.router.vcs), 0),
       prio_scratch_(static_cast<std::size_t>(config.router.vcs), 0),

@@ -164,6 +164,10 @@ class Nic final : public Clockable {
   std::deque<VcId> carry_to_router_;
   std::vector<int> queued_packets_per_class_;
   std::vector<int> credits_;
+  /// Rotation pointers the two arbiters view (router arbiters keep theirs
+  /// in the RouterStatePool). Declared before the arbiters that bind them.
+  int inject_rotation_ = 0;
+  int eject_rotation_ = 0;
   router::PriorityArbiter inject_arb_;
 
   std::vector<std::deque<router::Flit>> eject_pending_;

@@ -1,6 +1,7 @@
 #include "obs/counters.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 
 namespace ocn::obs {
@@ -19,16 +20,17 @@ std::int64_t MetricsSnapshot::value(std::string_view name) const {
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   cycle = std::max(cycle, other.cycle);
+  // Name -> position of its first occurrence, as a linear scan would find
+  // it. Keys are copies: appending below may reallocate `values`.
+  std::map<std::string, std::size_t, std::less<>> at;
+  for (std::size_t i = 0; i < values.size(); ++i) at.emplace(values[i].first, i);
   for (const auto& [name, v] : other.values) {
-    bool found = false;
-    for (auto& [k, mine] : values) {
-      if (k == name) {
-        mine += v;
-        found = true;
-        break;
-      }
+    if (const auto it = at.find(name); it != at.end()) {
+      values[it->second].second += v;
+    } else {
+      at.emplace(name, values.size());
+      values.emplace_back(name, v);
     }
-    if (!found) values.emplace_back(name, v);
   }
 }
 
@@ -50,23 +52,22 @@ MetricsSnapshot MetricsSnapshot::from_json(const Json& j) {
 }
 
 Counter& CounterRegistry::counter(const std::string& name) {
-  for (auto& [k, c] : counters_) {
-    if (k == name) return c;
-  }
-  for (const auto& [k, fn] : gauges_) {
-    if (k == name) {
+  if (const auto it = index_.find(name); it != index_.end()) {
+    if (it->second == nullptr) {
       throw std::invalid_argument("obs: counter name already registered as gauge: " + name);
     }
+    return *it->second;
   }
-  counters_.emplace_back(name, Counter{});
-  return counters_.back().second;
+  auto& [key, c] = counters_.emplace_back(name, Counter{});
+  index_.emplace(key, &c);
+  return c;
 }
 
 void CounterRegistry::gauge(std::string name, std::function<std::int64_t()> read) {
-  if (name_taken(name)) {
+  if (index_.count(name) != 0) {
     throw std::invalid_argument("obs: instrument name already registered: " + name);
   }
-  gauges_.emplace_back(std::move(name), std::move(read));
+  index_.emplace(gauges_.emplace_back(std::move(name), std::move(read)).first, nullptr);
 }
 
 MetricsSnapshot CounterRegistry::snapshot(std::int64_t cycle) const {
@@ -80,13 +81,6 @@ MetricsSnapshot CounterRegistry::snapshot(std::int64_t cycle) const {
 
 void CounterRegistry::reset_counters() {
   for (auto& [k, c] : counters_) c.reset();
-}
-
-bool CounterRegistry::name_taken(std::string_view name) const {
-  return std::any_of(counters_.begin(), counters_.end(),
-                     [&](const auto& kv) { return kv.first == name; }) ||
-         std::any_of(gauges_.begin(), gauges_.end(),
-                     [&](const auto& kv) { return kv.first == name; });
 }
 
 }  // namespace ocn::obs

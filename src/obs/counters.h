@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,9 +55,10 @@ struct MetricsSnapshot {
   std::int64_t value(std::string_view name) const;
 
   /// Sum `other` into this snapshot: matching names add, new names append
-  /// in other's order, cycle becomes the max. Order-independent up to
-  /// permutation of appended names when merged in a fixed order — the sweep
-  /// engine merges in point-index order, making results deterministic.
+  /// in other's order, cycle becomes the max. O((n + m) log n): names are
+  /// indexed once per call. Order-independent up to permutation of appended
+  /// names when merged in a fixed order — the sweep engine merges in
+  /// point-index order, making results deterministic.
   void merge(const MetricsSnapshot& other);
 
   Json to_json() const;
@@ -65,6 +67,11 @@ struct MetricsSnapshot {
 
 class CounterRegistry {
  public:
+  CounterRegistry() = default;
+  // The name index views strings stored in the lists below.
+  CounterRegistry(const CounterRegistry&) = delete;
+  CounterRegistry& operator=(const CounterRegistry&) = delete;
+
   /// Register (or fetch) an owned counter. The returned reference is stable
   /// for the registry's lifetime. Registering a name twice returns the same
   /// counter, so independent subsystems can share a statistic.
@@ -85,11 +92,13 @@ class CounterRegistry {
   void reset_counters();
 
  private:
-  bool name_taken(std::string_view name) const;
-
-  // deque: Counter addresses must survive registration of later counters.
+  // deques: Counter addresses and the name strings the index views must
+  // survive later registrations.
   std::deque<std::pair<std::string, Counter>> counters_;
-  std::vector<std::pair<std::string, std::function<std::int64_t()>>> gauges_;
+  std::deque<std::pair<std::string, std::function<std::int64_t()>>> gauges_;
+  /// Every registered name -> its counter, or nullptr for a gauge. Keeps
+  /// registration O(log n); the two lists above keep registration order.
+  std::map<std::string_view, Counter*> index_;
 };
 
 }  // namespace ocn::obs

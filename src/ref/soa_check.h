@@ -1,14 +1,15 @@
-// SoA <-> object-layer equivalence check (tentpole gate, tests/test_soa.cpp).
+// Pool <-> view equivalence check (tests/test_soa.cpp).
 //
-// The SoA refactor keeps the object layer (VcBuffer, VcAllocator, arbiters,
-// Input/OutputController, Nic counters) as a facade of views over the
-// RouterStatePool arrays. This module materializes the state a fresh object
-// layer would observe from the arrays — re-deriving every slice through the
-// pool's own index arithmetic, independently of the pointers the facades
-// cached at construction — and compares it field-by-field against the facade
-// accessors. Any mismatch means a facade is looking at the wrong slice, a
-// batch loop bypassed the facade semantics, or an incrementally-maintained
-// counter drifted from the occupancy it summarizes.
+// RouterStatePool is the only router storage; the object layer (VcBuffer,
+// VcAllocator, arbiters, Input/OutputController) is views over it, and the
+// NIC keeps incrementally-maintained occupancy counters. This module
+// re-derives every slice through the pool's own index arithmetic,
+// independently of the pointers the views cached at construction, and
+// compares it field-by-field against the view accessors. Any mismatch means
+// a view is looking at the wrong slice, a batch loop bypassed the view
+// semantics, or an incrementally-maintained counter (VcAllocator's
+// allocated count, the NIC counters) drifted from the occupancy it
+// summarizes.
 //
 // run_lockstep / run_shard_lockstep call this after every tick, so the whole
 // 12-cell quick matrix (and every ocn-diff campaign) gates on it.

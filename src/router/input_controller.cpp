@@ -32,8 +32,8 @@ InputController::InputController(Port port, const RouterParams& params,
 void InputController::attach(Channel<Flit>* in, Channel<Credit>* credit_upstream) {
   in_ = in;
   credit_upstream_ = credit_upstream;
-  // Every construction path (Network wiring, standalone tests) goes through
-  // attach, so the arrival byte is wired wherever the controller is fed.
+  // Every router is fed through attach, so the arrival byte is wired
+  // wherever the controller has a channel.
   if (in_ != nullptr) in_->set_wake(arrive_flit_);
 }
 
@@ -46,7 +46,8 @@ void InputController::accept_arrival() {
   arrive_flit_->store(0, std::memory_order_relaxed);
   // Process the arriving flit in place (receive + consume) instead of
   // take()ing it out: the buffered copy goes channel storage -> ring slab
-  // directly, one 112-byte copy instead of two moves through a temporary.
+  // directly, one 160-byte copy (sizeof(Flit)) instead of two moves through a
+  // temporary.
   const std::optional<Flit>& arriving = in_->receive();
   if (!arriving.has_value()) return;
   const Flit& f = *arriving;

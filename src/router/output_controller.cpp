@@ -37,8 +37,8 @@ void OutputController::attach(Channel<Flit>* link, Channel<Credit>* credit_downs
   link_ = link;
   credit_downstream_ = credit_downstream;
   length_mm_ = length_mm;
-  // Every construction path (Network wiring, standalone tests) goes through
-  // attach, so the arrival byte is wired wherever credits return.
+  // Every router is wired through attach, so the arrival byte is wired
+  // wherever credits return.
   if (credit_downstream_ != nullptr) credit_downstream_->set_wake(arrive_credit_);
 }
 
@@ -179,11 +179,6 @@ void OutputController::arbitrate_link(Cycle now) {
   Flit f = std::move(stage_flits_[winner]);
   stage_full_[winner] = false;
   send_on_link(std::move(f), /*bypass=*/false);
-}
-
-void OutputController::end_cycle() {
-  for (int i = 0; i < topo::kNumPorts; ++i) stage_fresh_[i] = false;
-  *link_used_ = false;
 }
 
 }  // namespace ocn::router

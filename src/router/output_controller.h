@@ -5,7 +5,7 @@
 // downstream credits per VC, owns the downstream VC allocation state, and
 // holds the cyclic reservation table for pre-scheduled traffic.
 //
-// SoA refactor: credits, VC-allocation flags, the stage registers, the
+// Credits, VC-allocation flags, the stage registers, the
 // piggyback carry ring, and the link-arbiter rotation pointer all live in
 // the owning router's RouterStatePool slot. The stage is a flat Flit slab
 // plus full/fresh flag arrays (replacing std::optional per slot), and the
@@ -49,24 +49,6 @@ class OutputController {
   bool attached() const { return link_ != nullptr; }
   topo::Port port() const { return port_; }
   double length_mm() const { return length_mm_; }
-
-  /// True when stepping the owning router would find nothing to do here: no
-  /// credit arriving from downstream, no staged flits awaiting the link, no
-  /// piggyback credits queued, and no reservation slots (reserved slots are
-  /// accounted — idle_reserved_cycles — every cycle, so they keep the
-  /// router on the clock). Recomputed from occupancy on every call, never
-  /// cached (the stale-flag pattern PR 6 fixed in Channel::take()).
-  bool quiescent() const {
-    if (link_ == nullptr) return true;
-    if (credit_downstream_ != nullptr && credit_downstream_->receive().has_value()) {
-      return false;
-    }
-    if (*carry_count_ != 0 || reservations_.any()) return false;
-    for (int i = 0; i < topo::kNumPorts; ++i) {
-      if (stage_full_[i]) return false;
-    }
-    return true;
-  }
 
   /// Install a per-link transform (fault layer). Not owned.
   void set_transform(LinkTransform* t) { transform_ = t; }
@@ -131,10 +113,6 @@ class OutputController {
   /// flit instead.
   void arbitrate_link(Cycle now);
 
-  /// Kept for standalone use; pool-backed routers batch-clear all per-cycle
-  /// transients via RouterStatePool::clear_cycle_flags instead.
-  void end_cycle();
-
   // --- statistics -----------------------------------------------------------
   std::int64_t flits_sent() const { return flits_sent_; }
   std::int64_t bypass_flits() const { return bypass_flits_; }
@@ -186,7 +164,8 @@ class OutputController {
   /// This port's credit-arrival byte in the pool's wake row (see
   /// InputController::arrive_flit_ for the protocol).
   std::atomic<std::uint8_t>* arrive_credit_;
-  /// Pool-backed per-cycle transient (one flit per link per cycle).
+  /// Pool-backed per-cycle transient (one flit per link per cycle), cleared
+  /// with the stage_fresh flags by RouterStatePool::clear_cycle_flags.
   bool* link_used_;
 
   std::int64_t flits_sent_ = 0;

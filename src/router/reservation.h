@@ -7,11 +7,11 @@
 // arbitration or delay by riding its reserved slots; dynamic traffic
 // arbitrates for the remaining cycles.
 //
-// SoA refactor: the slot table itself is cold (touched only at configuration
-// time and on the reserved cycles), so it stays a vector; only the
+// The slot table itself is cold (touched only at configuration time and on
+// the reserved cycles), so it stays a vector in this object; the
 // reserved-slot *count* — read by the per-cycle any() gate and by the
-// event-skip occupancy scan — can be pool-backed via the two-argument
-// constructor.
+// router's occupancy scan (RouterStatePool::has_internal_work) — lives in
+// the owning router's pool slot.
 #pragma once
 
 #include <vector>
@@ -28,23 +28,10 @@ class ReservationTable {
     bool reserved() const { return input >= 0; }
   };
 
-  explicit ReservationTable(int frame) : slots_(frame > 0 ? frame : 1) {}
-  /// Pool-backed count slot (owned by a RouterStatePool, starts at 0).
+  /// `count_slot` is the reserved-slot count cell in a RouterStatePool
+  /// (starts at 0).
   ReservationTable(int frame, int* count_slot)
       : slots_(frame > 0 ? frame : 1), reserved_count_(count_slot) {}
-
-  ReservationTable(const ReservationTable& o)
-      : slots_(o.slots_),
-        own_count_(o.own_count_),
-        reserved_count_(o.reserved_count_ == &o.own_count_ ? &own_count_
-                                                           : o.reserved_count_) {}
-  ReservationTable(ReservationTable&& o) noexcept
-      : slots_(std::move(o.slots_)),
-        own_count_(o.own_count_),
-        reserved_count_(o.reserved_count_ == &o.own_count_ ? &own_count_
-                                                           : o.reserved_count_) {}
-  ReservationTable& operator=(const ReservationTable&) = delete;
-  ReservationTable& operator=(ReservationTable&&) = delete;
 
   int frame() const { return static_cast<int>(slots_.size()); }
 
@@ -67,8 +54,7 @@ class ReservationTable {
     return static_cast<int>(((now % f) + f) % f);
   }
   std::vector<Slot> slots_;
-  int own_count_ = 0;
-  int* reserved_count_ = &own_count_;
+  int* reserved_count_;
 };
 
 }  // namespace ocn::router

@@ -7,24 +7,10 @@ namespace ocn::router {
 
 using topo::Port;
 
-Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& params)
-    : node_(node),
-      topo_(topology),
-      params_(params),
-      own_pool_(std::make_unique<RouterStatePool>(1, params)),
-      pool_(own_pool_.get()),
-      slot_(0) {
-  init_controllers();
-}
-
 Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& params,
                RouterStatePool& pool, int slot)
     : node_(node), topo_(topology), params_(params), pool_(&pool), slot_(slot) {
   assert(slot >= 0 && slot < pool.routers());
-  init_controllers();
-}
-
-void Router::init_controllers() {
   assert(params_.vcs <= kMaxArbiterInputs);
   inputs_.reserve(topo::kNumPorts);
   outputs_.reserve(topo::kNumPorts);
@@ -47,13 +33,11 @@ void Router::init_controllers() {
 }
 
 bool Router::quiescent() const {
-  for (const auto& in : inputs_) {
-    if (!in.quiescent()) return false;
+  const std::atomic<std::uint8_t>* row = pool_->wake_row(slot_);
+  for (int i = 0; i < RouterStatePool::kWakeWidth; ++i) {
+    if (row[i].load(std::memory_order_relaxed) != 0) return false;
   }
-  for (const auto& out : outputs_) {
-    if (!out.quiescent()) return false;
-  }
-  return true;
+  return !pool_->has_internal_work(slot_);
 }
 
 bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) const {
@@ -75,9 +59,8 @@ void Router::step(Cycle now) {
   reservation_bypass(now);
   link_arbitration(now);
   switch_traversal(now);
-  // Equivalent to calling end_cycle() on every controller: the per-cycle
-  // transients (popped, link_used, stage_fresh) are pool rows, cleared with
-  // three contiguous writes instead of ten object visits.
+  // The per-cycle transients (popped, link_used, stage_fresh) are pool
+  // rows, cleared with contiguous writes.
   pool_->clear_cycle_flags(slot_);
 }
 

@@ -19,15 +19,12 @@
 // and one on the link when uncontended; the pre-scheduled bypass path takes
 // a single cycle per hop.
 //
-// SoA refactor (ROADMAP item 2): all hot per-VC state lives in a
-// RouterStatePool slot; the controllers and arbiters are facades of views
-// over it. core::Network constructs routers against one pool per shard
-// (consecutive slots) so a shard's hot state is contiguous; the three-arg
-// constructor keeps a private single-slot pool so standalone routers (unit
-// tests, the reference harness) run the identical code path.
+// All hot per-VC state lives in a RouterStatePool slot — the only router
+// storage; the controllers and arbiters are views over it. core::Network
+// builds one pool per shard (consecutive slots) so a shard's hot state is
+// contiguous; a test that drives one router builds a one-slot pool.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "router/input_controller.h"
@@ -41,9 +38,7 @@ namespace ocn::router {
 
 class Router final : public Clockable {
  public:
-  /// Standalone: owns a private one-slot RouterStatePool.
-  Router(NodeId node, const topo::Topology& topology, const RouterParams& params);
-  /// Pool-backed: state lives in `pool` slot `slot` (pool outlives router).
+  /// State lives in `pool` slot `slot` (the pool outlives the router).
   Router(NodeId node, const topo::Topology& topology, const RouterParams& params,
          RouterStatePool& pool, int slot);
 
@@ -60,25 +55,15 @@ class Router final : public Clockable {
 
   void step(Cycle now) override;
 
-  /// Active-set fast path: a router with no arrivals, no buffered or staged
-  /// flits, no queued credits and no reservations is skipped by the kernel.
-  /// Skipping is exactly behaviour-preserving: every piece of per-cycle
-  /// state a skipped step would touch (allocation rotation) is derived from
-  /// the cycle counter instead of incremented.
+  /// The kernel's skip predicate: true when no arrival byte in this
+  /// router's wake row is set (a channel delivering into the router stamps
+  /// its port's byte as it advances; the phase consuming the channel clears
+  /// it) and RouterStatePool::has_internal_work finds no buffered or staged
+  /// flit, queued carry credit or reservation slot. Skipping is exactly
+  /// behaviour-preserving: every piece of per-cycle state a skipped step
+  /// would touch (allocation rotation) is derived from the cycle counter
+  /// instead of incremented.
   bool quiescent() const override;
-
-  /// Event-skip fast path: internal work only (buffered/staged flits,
-  /// queued carry credits, reservation slots), one contiguous pool scan.
-  /// Arrivals are covered by the kernel's wake row — a channel delivering
-  /// into this router stamps its per-port arrival byte as it advances — so
-  /// `row all-zero && idle_internal()` is exactly quiescent() without
-  /// re-polling every attached channel.
-  bool idle_internal() const override { return !pool_->has_internal_work(slot_); }
-
-  /// The per-port arrival bytes channels stamp and the kernel scans; see
-  /// idle_internal(). Contiguous, wake_width() bytes wide.
-  std::atomic<std::uint8_t>* wake_row() { return pool_->wake_row(slot_); }
-  static constexpr int wake_width() { return RouterStatePool::kWakeWidth; }
 
   /// Dateline state the packet will have after leaving through out_port
   /// (see DESIGN.md on deadlock freedom). Exposed for tests.
@@ -104,7 +89,6 @@ class Router final : public Clockable {
   void register_metrics(obs::CounterRegistry& registry, const std::string& prefix) const;
 
  private:
-  void init_controllers();
   void vc_allocation(Cycle now);
   void reservation_bypass(Cycle now);
   void link_arbitration(Cycle now);
@@ -115,7 +99,6 @@ class Router final : public Clockable {
   NodeId node_;
   const topo::Topology& topo_;
   RouterParams params_;
-  std::unique_ptr<RouterStatePool> own_pool_;  ///< standalone ctor only
   RouterStatePool* pool_;
   int slot_;
   std::vector<InputController> inputs_;

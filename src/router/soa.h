@@ -1,37 +1,32 @@
-// Structure-of-arrays backing store for the router hot path (ROADMAP item 2).
+// RouterStatePool: the one storage model for router state.
 //
 // Every piece of per-VC router state that the per-cycle pipeline touches —
 // downstream credits, input-buffer occupancy (ring head/count plus the flit
 // slab), per-packet routing state, the output stage registers, the carry
-// (piggyback-credit) rings, reservation-slot counts, and every arbiter
-// grant/rotation pointer — lives in one contiguous allocation per field,
-// indexed (router, port, vc). The object layer (VcBuffer, VcAllocator,
-// arbiters, Input/OutputController, Router) survives as a configuration and
-// verification *facade*: its members are views (references / raw pointers)
-// bound into these arrays at construction, so there is exactly one copy of
-// the truth and exactly one implementation of the step logic, while
-// `ocn-diff` and the equivalence suite can still walk the familiar
-// accessors. The facade contract is checked field-by-field every tick by
-// ref::soa_crosscheck (tests/test_soa.cpp), which re-derives each slice
-// from pool index arithmetic independently of the pointers the controllers
-// cached at construction.
+// (piggyback-credit) rings, reservation-slot counts, every arbiter
+// rotation pointer and the arrival bytes — lives in one contiguous
+// allocation per field, indexed (router, port, vc). The object layer
+// (VcBuffer, VcAllocator, arbiters, ReservationTable, Input/Output-
+// Controller, Router) is a set of *views*: their members are references /
+// raw pointers bound into these arrays by their one constructor, so there
+// is exactly one copy of the truth and one implementation of the step
+// logic. ref::soa_crosscheck re-derives each slice from pool index
+// arithmetic, independently of the pointers the views cached, and compares
+// field-by-field every lockstep tick (tests/test_soa.cpp).
 //
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
 //     contiguous slab and phase-A workers never share cache lines for hot
-//     state across shards;
-//   * the standalone `Router(node, topo, params)` constructor owns a
-//     private 1-router pool, so unit tests and the reference harness see
-//     identical behaviour with zero extra code paths;
-//   * the arrival flags are the event-skip machinery of the batch kernel,
-//     one byte per inbound channel (5 flit + 5 credit per router): a channel
-//     stamps its receiver's byte as it delivers a value, the kernel steps a
-//     router only when some byte is set or the occupancy scan
-//     (has_internal_work) finds work, and each pipeline phase probes a
-//     channel object only when its byte is set (clearing it as it consumes).
-//     The bytes are stamped-on-delivery work presence — set iff the channel
-//     output is engaged — never a cached "busy" bit; see the PR 6
-//     Channel::take() lesson (DESIGN.md §4h).
+//     state across shards; a test driving one router builds a one-slot
+//     pool;
+//   * the arrival bytes are the kernel's skip predicate for routers, one
+//     byte per inbound channel (5 flit + 5 credit per router): a channel
+//     stamps its receiver's byte as it delivers a value, Router::quiescent()
+//     is "no byte set and !has_internal_work", and each pipeline phase
+//     probes a channel object only when its byte is set (clearing it as it
+//     consumes). The bytes are stamped-on-delivery work presence — set iff
+//     the channel output is engaged — never a cached "busy" bit (the stale
+//     flag Channel::take() once had; DESIGN.md §4h).
 #pragma once
 
 #include <atomic>
@@ -215,8 +210,7 @@ class RouterStatePool {
   bool* popped(int r, int p) { return &popped_[rp(r, p)]; }
   bool* link_used(int r, int p) { return &link_used_[rp(r, p)]; }
 
-  /// End-of-step batch clear of the per-cycle transients (the pool-level
-  /// equivalent of calling end_cycle() on all ten controllers): popped and
+  /// End-of-step batch clear of the per-cycle transients: popped and
   /// link_used rows plus the whole stage_fresh block, all contiguous.
   void clear_cycle_flags(int r) {
     const std::size_t rp0 = rp(r, 0);
@@ -244,17 +238,15 @@ class RouterStatePool {
   std::atomic<std::uint8_t>* arrival(int r, int p, int kind) {
     return &arrive_[(rp(r, p) << 1) + static_cast<std::size_t>(kind)];
   }
-  /// The kWakeWidth contiguous arrival bytes of router `r` — the kernel's
-  /// skip predicate scans this row (any byte set => arrivals pending).
-  std::atomic<std::uint8_t>* wake_row(int r) { return &arrive_[rp(r, 0) << 1]; }
+  /// The kWakeWidth contiguous arrival bytes of router `r` — Router::
+  /// quiescent() scans this row (any byte set => arrivals pending).
+  const std::atomic<std::uint8_t>* wake_row(int r) const { return &arrive_[rp(r, 0) << 1]; }
 
   /// True when router slot `r` has internal work pending: any buffered flit,
   /// staged flit, queued carry credit, or reservation slot. Recomputed from
   /// occupancy on every call — deliberately *not* a cached busy flag (the
   /// stale-flag pattern PR 6 fixed in Channel::take()). Together with a
-  /// clear wake flag (no arrivals) this is exactly the old Router::quiescent
-  /// predicate, so the kernel's stepped-component counts are bit-identical
-  /// to the pre-SoA active-set scheme.
+  /// clear wake row (no arrivals) this is Router::quiescent().
   bool has_internal_work(int r) const {
     const std::size_t pv = rpv(r, 0, 0);
     const auto npv = static_cast<std::size_t>(topo::kNumPorts * vcs_);

@@ -9,14 +9,14 @@
 // pairs {2c, 2c+1}; a packet uses the even member before crossing its ring's
 // dateline and the odd member after (see DESIGN.md on deadlock freedom).
 //
-// SoA refactor: the allocated/excluded flags and the rotation pointer can
-// live in RouterStatePool (three-pointer constructor); the two-argument
-// constructor keeps private storage for standalone use. One implementation
-// either way — the members are pointers into whichever store backs them.
+// The allocated/excluded flags and the rotation pointer live in the owning
+// router's RouterStatePool slot; the allocator is a view over them plus two
+// incrementally maintained summaries (allocated count, busy mask) that
+// ref::soa_crosscheck re-derives from the flags. The reference model keeps
+// its own allocation code and does not use this class.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/types.h"
 
@@ -24,17 +24,8 @@ namespace ocn::router {
 
 class VcAllocator {
  public:
-  /// Standalone allocator with private storage (unit tests, reference model).
-  VcAllocator(int vcs, bool enforce_parity)
-      : own_(std::make_unique<Own>(vcs)),
-        vcs_(vcs),
-        enforce_parity_(enforce_parity),
-        allocated_(own_->allocated.get()),
-        excluded_(own_->excluded.get()),
-        rr_(&own_->rr) {}
-
-  /// Pool-backed: `allocated`/`excluded` are `vcs` flags and `rotation` one
-  /// int, all owned by a RouterStatePool (zero/false-initialized).
+  /// `allocated`/`excluded` are `vcs` flags and `rotation` one int, all
+  /// owned by a RouterStatePool (zero/false-initialized).
   VcAllocator(int vcs, bool enforce_parity, bool* allocated, bool* excluded,
               int* rotation)
       : vcs_(vcs),
@@ -42,11 +33,6 @@ class VcAllocator {
         allocated_(allocated),
         excluded_(excluded),
         rr_(rotation) {}
-
-  VcAllocator(VcAllocator&&) = default;
-  VcAllocator(const VcAllocator&) = delete;
-  VcAllocator& operator=(const VcAllocator&) = delete;
-  VcAllocator& operator=(VcAllocator&&) = delete;
 
   /// Grant a free VC allowed by `mask` with parity matching `want_odd`
   /// (when parity is enforced and not suppressed via `ignore_parity`, e.g.
@@ -78,15 +64,6 @@ class VcAllocator {
   void set_excluded(VcId vc, bool excluded);
 
  private:
-  struct Own {
-    explicit Own(int vcs)
-        : allocated(std::make_unique<bool[]>(static_cast<std::size_t>(vcs))),
-          excluded(std::make_unique<bool[]>(static_cast<std::size_t>(vcs))) {}
-    std::unique_ptr<bool[]> allocated;
-    std::unique_ptr<bool[]> excluded;
-    int rr = 0;
-  };
-
   bool eligible(VcId vc, std::uint8_t mask, bool want_odd, bool ignore_parity) const;
 
   /// Recompute `vc`'s bit in busy_mask_ after an allocated_/excluded_ edit.
@@ -99,7 +76,6 @@ class VcAllocator {
     }
   }
 
-  std::unique_ptr<Own> own_;  // null when pool-backed
   int vcs_;
   bool enforce_parity_;
   bool* allocated_;

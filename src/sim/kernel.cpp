@@ -2,33 +2,59 @@
 
 #include <algorithm>
 
+#include "sim/sweep/thread_pool.h"
+
 namespace ocn {
+
+Kernel::Kernel(int shards, std::function<void()> end_of_tick)
+    : shards_(static_cast<std::size_t>(std::max(shards, 1))),
+      end_of_tick_(std::move(end_of_tick)) {
+  // One worker per shard, so the partitions genuinely step concurrently
+  // (machines with fewer cores just timeslice — determinism does not depend
+  // on the interleaving).
+  if (shards_.size() > 1) {
+    pool_ = std::make_unique<sweep::ThreadPool>(static_cast<int>(shards_.size()));
+  }
+}
+
+Kernel::~Kernel() = default;
 
 void Kernel::remove(Clockable* c) {
   if (in_tick_) {
     // A component may detach itself (or a peer) from inside step(); erasing
-    // here would invalidate the iteration in step_components(). Defer to
-    // finish_tick(), after the loop is done with the vector.
+    // here would invalidate the iteration in tick(). Defer to the end of the
+    // tick, after the loop is done with the vector.
     deferred_removals_.push_back(c);
     return;
   }
-  components_.erase(
-      std::remove_if(components_.begin(), components_.end(),
-                     [c](const ComponentEntry& e) { return e.component == c; }),
-      components_.end());
+  components_.erase(std::remove(components_.begin(), components_.end(), c),
+                    components_.end());
 }
 
-int Kernel::step_components() {
+template <typename Body>
+void Kernel::for_each_shard(const Body& body) {
+  if (!pool_) {
+    body(shards_.front());
+    return;
+  }
+  pool_->for_each_index(shards_.size(), [&](std::size_t s) { body(shards_[s]); });
+}
+
+namespace {
+
+int step_due(const std::vector<Clockable*>& components, Cycle now) {
   int stepped = 0;
-  for (const ComponentEntry& e : components_) {
-    if (step_component_if_due(e, now_)) ++stepped;
+  for (Clockable* c : components) {
+    if (c->quiescent()) continue;
+    c->step(now);
+    ++stepped;
   }
   return stepped;
 }
 
-int Kernel::advance_channels() {
+int advance_active(const std::vector<ChannelBase*>& channels) {
   int advanced = 0;
-  for (ChannelBase* ch : channels_) {
+  for (ChannelBase* ch : channels) {
     if (ch->active()) {
       ch->advance();
       ++advanced;
@@ -37,7 +63,32 @@ int Kernel::advance_channels() {
   return advanced;
 }
 
-void Kernel::finish_tick(int stepped, int advanced) {
+}  // namespace
+
+void Kernel::tick() {
+  in_tick_ = true;
+  const Cycle now = now_;
+
+  // Phase A: shard components (in parallel when there is a pool), then the
+  // global components serially.
+  for_each_shard([now](Shard& sh) { sh.stepped = step_due(sh.components, now); });
+  int stepped = step_due(components_, now);
+
+  // Phase B: channels. Interior channels keep the active-flag skip; boundary
+  // channels advance unconditionally (see the header comment).
+  for_each_shard([](Shard& sh) {
+    sh.advanced = advance_active(sh.interior);
+    for (ChannelBase* ch : sh.boundary) ch->advance();
+    sh.advanced += static_cast<int>(sh.boundary.size());
+  });
+  int advanced = advance_active(channels_);
+
+  for (const Shard& sh : shards_) {
+    stepped += sh.stepped;
+    advanced += sh.advanced;
+  }
+  if (end_of_tick_) end_of_tick_();
+
   last_tick_stepped_ = stepped;
   ++now_;
   if (metrics_) {
@@ -53,13 +104,6 @@ void Kernel::finish_tick(int stepped, int advanced) {
     for (Clockable* c : deferred_removals_) remove(c);
     deferred_removals_.clear();
   }
-}
-
-void Kernel::tick() {
-  in_tick_ = true;
-  const int stepped = step_components();
-  const int advanced = advance_channels();
-  finish_tick(stepped, advanced);
 }
 
 void Kernel::attach_metrics(obs::CounterRegistry* registry, Cycle sample_interval) {

@@ -7,27 +7,38 @@
 // once. Because no component ever observes another component's same-cycle
 // writes, evaluation order is irrelevant and simulations are deterministic.
 //
-// Hot-path structure: channels are not virtual. ChannelBase carries a
-// function pointer selected at construction (unit-latency channels get a
-// two-slot swap with no deque traffic) plus an `active` flag so the kernel
-// skips channels with nothing in flight. Components may additionally report
-// themselves `quiescent()`; the kernel then skips their step() entirely,
-// which makes warmup/drain phases and lightly loaded regions cheap.
+// One kernel, one skip rule. Channels are not virtual: ChannelBase carries
+// a function pointer selected at construction (unit-latency channels get a
+// two-slot swap) plus an `active` flag, so idle channels are never
+// advanced. A component is stepped only when !quiescent(); routers answer
+// that from their arrival bytes (stamped by the channels delivering into
+// them) and one occupancy scan of their RouterStatePool slot, NICs from
+// O(1) counters, everything else by default "never quiescent".
 //
-// Event-skip hybrid (ROADMAP item 2): polling quiescent() still touches
-// every input channel of every component every cycle. Components registered
-// WITH a wake row (routers — the row lives in the RouterStatePool) skip
-// that poll entirely: a channel delivering a value stamps its receiver's
-// arrival byte during its advance, and the kernel steps the component only
-// when some byte in the row is set or !idle_internal() — arrivals via the
-// bytes, internal work via one contiguous occupancy scan. The bytes also
-// gate the receiver's own per-channel probes: a pipeline phase touches a
-// channel object only when that channel's byte is set, clearing the byte as
-// it consumes (most channels are idle most cycles, so this removes the bulk
-// of the pointer-chasing the step loop used to do). The predicate is
-// provably identical to quiescent() (a byte is set iff its channel's output
-// is engaged), which keeps kernel.component_steps bit-identical to the
-// polled scheme — the e13 baseline value-compares it.
+// Spatial shards. A kernel built with N > 1 shards steps each shard's
+// components on its own pool worker; with N == 1 the one shard is stepped
+// inline on the caller and no thread is created. The correctness argument
+// is the determinism argument above, applied across threads: every channel
+// has latency >= 1, so a barriered two-phase tick preserves single-shard
+// semantics verbatim:
+//
+//   phase A  every shard steps its components; then the global components
+//            (traffic harnesses, monitors, services) step serially, in
+//            registration order;
+//   barrier  the pool's scatter-gather join: every phase-A write
+//            happens-before every phase-B read;
+//   phase B  every shard advances its channels: interior channels (both
+//            endpoints in the shard) through the active-flag skip, boundary
+//            channels unconditionally, because their flag may be written by
+//            two shards in phase A (relaxed atomics make that benign, but the
+//            transient value is unordered, so it is never consulted); then
+//            the global channels;
+//   flush    the end-of-tick hook (core::Network replays per-node observer
+//            buffers in node order) runs on the caller before time advances.
+//
+// Because no step() observes another shard's same-cycle writes, an N-shard
+// run is bit-identical to a 1-shard run; the src/ref lockstep harness and
+// tests/test_sharded.cpp hold the kernel to that.
 #pragma once
 
 #include <atomic>
@@ -36,6 +47,8 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +57,10 @@
 #include "sim/types.h"
 
 namespace ocn {
+
+namespace sweep {
+class ThreadPool;
+}
 
 /// Anything that does work once per clock cycle.
 class Clockable {
@@ -57,12 +74,6 @@ class Clockable {
   /// skipping is indistinguishable from stepping — including statistics.
   /// The default keeps every component on the clock.
   virtual bool quiescent() const { return false; }
-  /// Event-skip split of quiescent(): internal work only, with arrivals
-  /// covered by the component's wake flag. Consulted only for components
-  /// registered with a wake flag; must satisfy
-  ///   quiescent() == (no engaged inbound channel output) && idle_internal()
-  /// The default keeps the two predicates one and the same.
-  virtual bool idle_internal() const { return quiescent(); }
 };
 
 /// Non-virtual channel base so the kernel can advance heterogeneous channels
@@ -71,8 +82,8 @@ class Clockable {
 /// `active_` is a relaxed atomic because a shard-boundary channel is written
 /// by the sender's shard (send) while the receiver's shard reads/clears the
 /// arriving value (take) in the same phase. There is never more than one
-/// writer per phase, so plain relaxed loads/stores suffice; the sharded
-/// kernel never *consults* a boundary channel's flag (it advances boundary
+/// writer per phase, so plain relaxed loads/stores suffice; the kernel
+/// never *consults* a boundary channel's flag (it advances boundary
 /// channels unconditionally), so a transiently stale value is harmless.
 class ChannelBase {
  public:
@@ -81,12 +92,12 @@ class ChannelBase {
   /// are skipped by Kernel::tick.
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
-  /// Event-skip wiring: stamp `*wake` (relaxed store of 1) whenever an
+  /// Arrival-byte wiring: stamp `*wake` (relaxed store of 1) whenever an
   /// advance leaves a value visible at the output — i.e. whenever the
-  /// receiving component has an arrival to consume next cycle. The flag is
-  /// owned by the receiver (RouterStatePool); in the sharded kernel a
-  /// channel is always advanced by the receiver's shard (boundary channels
-  /// are filed under shard_of(dst)), so stamping in phase B and
+  /// receiving component has an arrival to consume next cycle. The byte is
+  /// owned by the receiver (RouterStatePool or the NIC); a channel is
+  /// always advanced by the receiver's shard (boundary channels are filed
+  /// under the receiver's shard), so stamping in phase B and
   /// reading/clearing in phase A never cross a shard — the phases' barrier
   /// orders them.
   void set_wake(std::atomic<std::uint8_t>* wake) { wake_ = wake; }
@@ -209,59 +220,42 @@ class Channel final : public ChannelBase {
   std::int64_t sends_ = 0;
 };
 
-/// A registered component plus its optional wake row. With a null wake the
-/// kernel polls quiescent() as it always has; with a row it uses the
-/// event-skip predicate: `wake_width` contiguous arrival bytes (one per
-/// inbound channel, stamped by the channel's advance) cover arrivals, and
-/// idle_internal() covers occupancy. The kernel never clears the bytes —
-/// each byte is owned by the pipeline phase that consumes its channel, which
-/// clears it as it probes (so an un-probed engaged arrival keeps its byte,
-/// and the component stays due).
-struct ComponentEntry {
-  Clockable* component = nullptr;
-  std::atomic<std::uint8_t>* wake = nullptr;
-  int wake_width = 1;
-};
-
-/// The ONE skip-predicate implementation, shared by Kernel and
-/// ShardedKernel so the two schedulers cannot drift. Returns true when the
-/// component was stepped.
-inline bool step_component_if_due(const ComponentEntry& e, Cycle now) {
-  if (e.wake != nullptr) {
-    bool arrivals = false;
-    for (int i = 0; i < e.wake_width; ++i) {
-      if (e.wake[i].load(std::memory_order_relaxed) != 0) {
-        arrivals = true;
-        break;
-      }
-    }
-    if (!arrivals && e.component->idle_internal()) return false;
-  } else if (e.component->quiescent()) {
-    return false;
-  }
-  e.component->step(now);
-  return true;
-}
-
 /// Owns nothing; sequences registered components and channels. The caller
 /// (typically core::Network) owns the objects and guarantees they outlive
 /// the kernel.
 class Kernel {
  public:
-  void add(Clockable* c) { components_.push_back({c, nullptr, 1}); }
-  /// Register with an event-skip wake row of `width` arrival bytes; every
-  /// channel delivering into `c` must have set_wake() wired to one of them
-  /// (the router controllers wire this themselves in attach()).
-  void add(Clockable* c, std::atomic<std::uint8_t>* wake, int width = 1) {
-    components_.push_back({c, wake, width});
-  }
+  /// `shards` spatial partitions (clamped to >= 1); see the header comment.
+  /// `end_of_tick`, when set, runs on the calling thread after both phases
+  /// of every tick but before time advances.
+  explicit Kernel(int shards = 1, std::function<void()> end_of_tick = {});
+  ~Kernel();
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
+
+  /// A global component: stepped serially after every shard, in
+  /// registration order.
+  void add(Clockable* c) { components_.push_back(c); }
+  /// A global channel, advanced after every shard's channels.
   void add(ChannelBase* ch) { channels_.push_back(ch); }
 
-  /// Unregister a component (used by detachable observers like the protocol
-  /// monitor, whose lifetime is shorter than the network's). No-op when the
-  /// component was never registered. Safe to call from inside a component's
-  /// own step(): removal during an in-flight tick is deferred to the end of
-  /// that tick so the component list is never mutated while iterated.
+  /// A component stepped by shard `shard`'s worker.
+  void add(int shard, Clockable* c) { shard_at(shard).components.push_back(c); }
+  /// A channel whose sender and receiver both live in `shard`.
+  void add_interior(int shard, ChannelBase* ch) { shard_at(shard).interior.push_back(ch); }
+  /// A channel crossing shards, advanced unconditionally by `shard`'s
+  /// worker. File it under the receiver's shard: a channel stamps its
+  /// receiver's arrival byte as it advances, so the stamp then never
+  /// crosses a shard (phase-A read/clear and phase-B stamp are
+  /// barrier-ordered).
+  void add_boundary(int shard, ChannelBase* ch) { shard_at(shard).boundary.push_back(ch); }
+
+  /// Unregister a global component (used by detachable observers like the
+  /// protocol monitor, whose lifetime is shorter than the network's). No-op
+  /// when the component was never registered. Safe to call from inside a
+  /// component's own step(): removal during an in-flight tick is deferred to
+  /// the end of that tick so the component list is never mutated while
+  /// iterated.
   void remove(Clockable* c);
 
   /// Run `cycles` cycles from the current time.
@@ -298,18 +292,23 @@ class Kernel {
   }
 
  private:
-  friend class ShardedKernel;
+  struct Shard {
+    std::vector<Clockable*> components;
+    std::vector<ChannelBase*> interior;
+    std::vector<ChannelBase*> boundary;
+    int stepped = 0;
+    int advanced = 0;
+  };
 
-  // tick() pieces, shared with ShardedKernel: the sharded kernel steps and
-  // advances its own spatial partitions in parallel, then calls these to
-  // step/advance whatever stayed registered here (global components like
-  // traffic harnesses and monitors) and to close out the cycle with the
-  // same bookkeeping — time, metrics counters, deferred removals.
-  int step_components();
-  int advance_channels();
-  void finish_tick(int stepped, int advanced);
+  Shard& shard_at(int shard) { return shards_.at(static_cast<std::size_t>(shard)); }
+  /// Run `body` on every shard: on the pool when there is one, else inline.
+  template <typename Body>
+  void for_each_shard(const Body& body);
 
-  std::vector<ComponentEntry> components_;
+  std::vector<Shard> shards_;
+  std::unique_ptr<sweep::ThreadPool> pool_;  // null when there is one shard
+  std::function<void()> end_of_tick_;
+  std::vector<Clockable*> components_;
   std::vector<ChannelBase*> channels_;
   Cycle now_ = 0;
   int last_tick_stepped_ = 0;

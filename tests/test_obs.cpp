@@ -4,6 +4,7 @@
 // shape the engine's determinism contract depends on — run under the
 // `sweep` ctest label so the TSan preset covers it), the Report builder's
 // schema, and a golden-file check that pins the serialized byte shape.
+#include <algorithm>
 #include <clocale>
 #include <cmath>
 #include <cstdio>
@@ -158,6 +159,13 @@ TEST(CounterRegistry, DuplicateGaugeNameThrows) {
                std::invalid_argument);
 }
 
+TEST(CounterRegistry, CounterOnGaugeNameThrows) {
+  obs::CounterRegistry reg;
+  reg.gauge("g", [] { return std::int64_t{0}; });
+  EXPECT_THROW(reg.counter("g"), std::invalid_argument);
+  EXPECT_EQ(reg.instruments(), 1u);
+}
+
 TEST(CounterRegistry, SnapshotListsCountersThenGaugesInRegistrationOrder) {
   obs::CounterRegistry reg;
   reg.counter("b_counter");
@@ -283,6 +291,58 @@ TEST(NetworkMetrics, RegistryTracksDeliveriesAndIntervalSampling) {
   for (std::size_t i = 1; i < periodic.size(); ++i) {
     EXPECT_GE(periodic[i].value("net.packets_delivered"),
               periodic[i - 1].value("net.packets_delivered"));
+  }
+}
+
+// Registration is indexed by name, but a snapshot must still list every
+// instrument in registration order (counters first, then gauges): the
+// network registers net.*, then nic.N.* and router.N.* in node order, then
+// one gauge per link in link_usage() order. Node order is not name order
+// ("nic.10" sorts before "nic.9"), so an index leaking its ordering into
+// the snapshot would show here.
+TEST(NetworkMetrics, SnapshotOrderIsRegistrationOrderAt32x32) {
+  core::Config cfg = core::Config::paper_baseline();
+  cfg.radix = 32;
+  core::Network net(cfg);
+  obs::CounterRegistry reg;
+  net.register_metrics(reg);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.values.size(), reg.instruments());
+  std::vector<std::string> names;
+  for (const auto& kv : snap.values) names.push_back(kv.first);
+
+  // Owned counters first (the kernel's three), in registration order.
+  ASSERT_GE(names.size(), 4u);
+  EXPECT_EQ(names[0], "kernel.cycles");
+  EXPECT_EQ(names[1], "kernel.component_steps");
+  EXPECT_EQ(names[2], "kernel.channel_advances");
+  EXPECT_EQ(names[3], "net.packets_injected");
+
+  auto index_of = [&names](const std::string& name) {
+    const auto it = std::find(names.begin(), names.end(), name);
+    EXPECT_NE(it, names.end()) << name;
+    return it - names.begin();
+  };
+  std::ptrdiff_t prev_nic = -1;
+  std::ptrdiff_t prev_router = -1;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    const std::ptrdiff_t nic = index_of("nic." + std::to_string(n) + ".packets_injected");
+    const std::ptrdiff_t rtr = index_of("router." + std::to_string(n) + ".buffer_writes");
+    EXPECT_GT(nic, prev_nic) << "node " << n;
+    EXPECT_GT(rtr, prev_router) << "node " << n;
+    prev_nic = nic;
+    prev_router = rtr;
+  }
+  EXPECT_LT(prev_nic, index_of("router.0.buffer_writes"));
+
+  // The tail is one gauge per link, in link_usage() order.
+  const std::vector<core::LinkUsage> links = net.link_usage();
+  ASSERT_LE(links.size(), names.size());
+  const std::size_t first_link = names.size() - links.size();
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    EXPECT_EQ(names[first_link + i], "link." + std::to_string(links[i].src) + "." +
+                                         topo::port_name(links[i].port) + ".flits")
+        << "link " << i;
   }
 }
 

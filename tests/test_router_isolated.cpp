@@ -22,6 +22,7 @@ using topo::Port;
 struct Harness {
   topo::FoldedTorus topo{4, 3.0};
   RouterParams params;
+  std::unique_ptr<router::RouterStatePool> pool;  // one slot: this router
   std::unique_ptr<router::Router> rtr;
   Kernel kernel;
   // Indexed by port.
@@ -32,7 +33,8 @@ struct Harness {
 
   explicit Harness(RouterParams p = RouterParams{}) : params(p) {
     params.enforce_vc_parity = true;
-    rtr = std::make_unique<router::Router>(/*node=*/0, topo, params);
+    pool = std::make_unique<router::RouterStatePool>(1, params);
+    rtr = std::make_unique<router::Router>(/*node=*/0, topo, params, *pool, /*slot=*/0);
     kernel.add(rtr.get());
     for (int i = 0; i < topo::kNumPorts; ++i) {
       const auto port = static_cast<Port>(i);

@@ -2,9 +2,13 @@
 // VC buffers, flit helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "router/arbiter.h"
 #include "router/flit.h"
 #include "router/reservation.h"
+#include "router/soa.h"
 #include "router/vc_allocator.h"
 #include "router/vc_buffer.h"
 
@@ -30,9 +34,14 @@ TEST(Flit, HeadTailPredicates) {
   EXPECT_FALSE(is_tail(FlitType::kHead));
 }
 
+// Arbiter requests are raw byte arrays, the one scan production uses; the
+// grant pointer lives in caller-provided storage (a pool cell in routers,
+// an int member in the NIC, a local here).
+
 TEST(RoundRobin, RotatesGrants) {
-  RoundRobinArbiter arb(4);
-  std::vector<bool> all(4, true);
+  int ptr = 0;
+  RoundRobinArbiter arb(4, &ptr);
+  const std::uint8_t all[] = {1, 1, 1, 1};
   EXPECT_EQ(arb.arbitrate(all), 0);
   EXPECT_EQ(arb.arbitrate(all), 1);
   EXPECT_EQ(arb.arbitrate(all), 2);
@@ -41,32 +50,43 @@ TEST(RoundRobin, RotatesGrants) {
 }
 
 TEST(RoundRobin, SkipsNonRequesters) {
-  RoundRobinArbiter arb(4);
-  EXPECT_EQ(arb.arbitrate({false, false, true, false}), 2);
-  EXPECT_EQ(arb.arbitrate({true, false, true, false}), 0);  // pointer at 3 wraps
-  EXPECT_EQ(arb.arbitrate({false, false, false, false}), -1);
+  int ptr = 0;
+  RoundRobinArbiter arb(4, &ptr);
+  const std::uint8_t only2[] = {0, 0, 1, 0};
+  const std::uint8_t zero_and_2[] = {1, 0, 1, 0};
+  const std::uint8_t none[] = {0, 0, 0, 0};
+  EXPECT_EQ(arb.arbitrate(only2), 2);
+  EXPECT_EQ(arb.arbitrate(zero_and_2), 0);  // pointer at 3 wraps
+  EXPECT_EQ(arb.arbitrate(none), -1);
 }
 
 TEST(RoundRobin, FairUnderFullLoad) {
-  RoundRobinArbiter arb(3);
+  int ptr = 0;
+  RoundRobinArbiter arb(3, &ptr);
   std::vector<int> grants(3, 0);
-  std::vector<bool> all(3, true);
+  const std::uint8_t all[] = {1, 1, 1};
   for (int i = 0; i < 300; ++i) ++grants[static_cast<std::size_t>(arb.arbitrate(all))];
   for (int g : grants) EXPECT_EQ(g, 100);
 }
 
 TEST(PriorityArb, HighPriorityAlwaysWins) {
-  PriorityArbiter arb(3);
+  int ptr = 0;
+  PriorityArbiter arb(3, &ptr);
+  const std::uint8_t all[] = {1, 1, 1};
+  const int prio[] = {0, 5, 1};
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(arb.arbitrate({true, true, true}, {0, 5, 1}), 1);
+    EXPECT_EQ(arb.arbitrate(all, prio), 1);
   }
 }
 
 TEST(PriorityArb, TiesRotate) {
-  PriorityArbiter arb(3);
+  int ptr = 0;
+  PriorityArbiter arb(3, &ptr);
   std::vector<int> grants(3, 0);
+  const std::uint8_t all[] = {1, 1, 1};
+  const int prio[] = {2, 2, 2};
   for (int i = 0; i < 90; ++i) {
-    ++grants[static_cast<std::size_t>(arb.arbitrate({true, true, true}, {2, 2, 2}))];
+    ++grants[static_cast<std::size_t>(arb.arbitrate(all, prio))];
   }
   for (int g : grants) EXPECT_EQ(g, 30);
 }
@@ -79,23 +99,31 @@ TEST(PriorityArb, TiesRotate) {
 // goes eligible/ineligible in phase with the arbitration could be skipped
 // forever.
 TEST(RoundRobin, PointerFrozenOnNoGrantCycles) {
-  RoundRobinArbiter arb(4);
-  EXPECT_EQ(arb.arbitrate({true, true, false, false}), 0);
+  int ptr = 0;
+  RoundRobinArbiter arb(4, &ptr);
+  const std::uint8_t first_two[] = {1, 1, 0, 0};
+  const std::uint8_t none[] = {0, 0, 0, 0};
+  EXPECT_EQ(arb.arbitrate(first_two), 0);
   EXPECT_EQ(arb.pointer(), 1);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(arb.arbitrate({false, false, false, false}), -1);
+    EXPECT_EQ(arb.arbitrate(none), -1);
     EXPECT_EQ(arb.pointer(), 1);  // unchanged across empty cycles
   }
-  EXPECT_EQ(arb.arbitrate({true, true, false, false}), 1);  // resumes in turn
+  EXPECT_EQ(arb.arbitrate(first_two), 1);  // resumes in turn
 }
 
 TEST(PriorityArb, PointerFrozenOnNoGrantCycles) {
-  PriorityArbiter arb(3);
-  EXPECT_EQ(arb.arbitrate({true, true, true}, {1, 1, 1}), 0);
+  int ptr = 0;
+  PriorityArbiter arb(3, &ptr);
+  const std::uint8_t all[] = {1, 1, 1};
+  const std::uint8_t none[] = {0, 0, 0};
+  const int ones[] = {1, 1, 1};
+  const int zeros[] = {0, 0, 0};
+  EXPECT_EQ(arb.arbitrate(all, ones), 0);
   EXPECT_EQ(arb.pointer(), 1);
-  EXPECT_EQ(arb.arbitrate({false, false, false}, {0, 0, 0}), -1);
+  EXPECT_EQ(arb.arbitrate(none, zeros), -1);
   EXPECT_EQ(arb.pointer(), 1);
-  EXPECT_EQ(arb.arbitrate({true, true, true}, {1, 1, 1}), 1);
+  EXPECT_EQ(arb.arbitrate(all, ones), 1);
 }
 
 // Starvation regression for the squashed-speculation pattern: input 0 is
@@ -105,12 +133,14 @@ TEST(PriorityArb, PointerFrozenOnNoGrantCycles) {
 // its turn comes up while eligible — over any sustained window it makes
 // proportional progress and is never starved.
 TEST(RoundRobin, IntermittentRequesterIsNotStarved) {
-  RoundRobinArbiter arb(3);
+  int ptr = 0;
+  RoundRobinArbiter arb(3, &ptr);
   std::vector<int> grants(3, 0);
   int waiting = 0;  // consecutive cycles input 0 requested without a grant
   for (int cycle = 0; cycle < 300; ++cycle) {
     const bool eligible0 = cycle % 3 == 0;
-    const int winner = arb.arbitrate({eligible0, true, true});
+    const std::uint8_t requests[] = {static_cast<std::uint8_t>(eligible0), 1, 1};
+    const int winner = arb.arbitrate(requests);
     ASSERT_GE(winner, 0);
     ++grants[static_cast<std::size_t>(winner)];
     if (eligible0 && winner != 0) {
@@ -125,8 +155,26 @@ TEST(RoundRobin, IntermittentRequesterIsNotStarved) {
   EXPECT_GT(grants[2], 0);
 }
 
+/// A one-router RouterStatePool: the storage the allocator, reservation
+/// table and VC buffer views below bind into, exactly as in a Router.
+struct OnePool {
+  explicit OnePool(int vcs, int depth = 4) : pool(1, params_for(vcs, depth)) {}
+  static RouterParams params_for(int vcs, int depth) {
+    RouterParams p;
+    p.vcs = vcs;
+    p.buffer_depth = depth;
+    return p;
+  }
+  VcAllocator allocator(bool enforce_parity) {
+    return VcAllocator(pool.vcs(), enforce_parity, pool.vc_allocated(0, 0),
+                       pool.vc_excluded(0, 0), pool.vc_rotation(0, 0));
+  }
+  RouterStatePool pool;
+};
+
 TEST(VcAllocator, RespectsMask) {
-  VcAllocator a(8, /*enforce_parity=*/false);
+  OnePool p(8);
+  VcAllocator a = p.allocator(/*enforce_parity=*/false);
   const VcId v = a.allocate(0b00001100, false);
   EXPECT_TRUE(v == 2 || v == 3);
   EXPECT_TRUE(a.is_allocated(v));
@@ -135,7 +183,8 @@ TEST(VcAllocator, RespectsMask) {
 }
 
 TEST(VcAllocator, ParityDiscipline) {
-  VcAllocator a(8, /*enforce_parity=*/true);
+  OnePool p(8);
+  VcAllocator a = p.allocator(/*enforce_parity=*/true);
   // Even request on a both-parities class mask.
   const VcId even = a.allocate(0b00000011, /*want_odd=*/false);
   EXPECT_EQ(even, 0);
@@ -149,7 +198,8 @@ TEST(VcAllocator, ParityDiscipline) {
 }
 
 TEST(VcAllocator, ExclusionBlocksScheduledVc) {
-  VcAllocator a(8, false);
+  OnePool p(8);
+  VcAllocator a = p.allocator(false);
   a.set_excluded(7, true);
   EXPECT_EQ(a.allocate(0b10000000, false), kInvalidVc);
   EXPECT_TRUE(a.allocate_exact(7));  // the scheduled path itself may claim it
@@ -157,7 +207,8 @@ TEST(VcAllocator, ExclusionBlocksScheduledVc) {
 }
 
 TEST(VcAllocator, ReleaseMakesVcReusable) {
-  VcAllocator a(4, false);
+  OnePool p(4);
+  VcAllocator a = p.allocator(false);
   const VcId v = a.allocate(0b1111, false);
   a.release(v);
   EXPECT_FALSE(a.is_allocated(v));
@@ -165,7 +216,8 @@ TEST(VcAllocator, ReleaseMakesVcReusable) {
 }
 
 TEST(Reservation, SlotLifecycle) {
-  ReservationTable t(16);
+  OnePool p(8);
+  ReservationTable t(16, p.pool.resv_count(0, 0));
   EXPECT_FALSE(t.any());
   EXPECT_TRUE(t.reserve(3, /*input=*/1, /*vc=*/7));
   EXPECT_FALSE(t.reserve(3, 2, 7));  // occupied
@@ -179,14 +231,17 @@ TEST(Reservation, SlotLifecycle) {
 }
 
 TEST(Reservation, CountsSlots) {
-  ReservationTable t(8);
+  OnePool p(8);
+  ReservationTable t(8, p.pool.resv_count(0, 0));
   t.reserve(0, 0, 7);
   t.reserve(4, 1, 7);
   EXPECT_EQ(t.reserved_count(), 2);
+  EXPECT_EQ(p.pool.resv_count_value(0, 0), 2);  // the pool cell IS the count
 }
 
 TEST(VcBuffer, FifoWithCapacity) {
-  VcBuffer b(2);
+  OnePool p(1, /*depth=*/2);
+  VcBuffer b(p.pool.vc_slice(0, 0, 0), p.pool.depth());
   EXPECT_TRUE(b.empty());
   Flit f;
   f.packet = 1;
@@ -200,7 +255,8 @@ TEST(VcBuffer, FifoWithCapacity) {
 }
 
 TEST(VcBuffer, PacketStateResets) {
-  VcBuffer b(4);
+  OnePool p(1);
+  VcBuffer b(p.pool.vc_slice(0, 0, 0), p.pool.depth());
   b.routed = true;
   b.out_vc = 3;
   b.out_port = topo::Port::kColNeg;

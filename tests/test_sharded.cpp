@@ -1,4 +1,4 @@
-// Sharded-kernel determinism: the ShardedKernel's contract is bit-identical
+// Sharded-kernel determinism: the kernel's contract is bit-identical
 // execution for every shard count. The matrix here replays the same recorded
 // trace at shards 1, 2, 4 and the radix (one row per shard) and demands the
 // identical delivery sequence (order AND cycles), identical per-link flit
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -110,6 +111,42 @@ TEST(ShardedDeterminism, KillLinkMatrixMatchesSingleShardExactly) {
   for (const int shards : {2, 4}) {
     const GoldenRun run = run_sharded(csv, shards, /*chaos_kill=*/true);
     expect_identical(base, run, shards);
+  }
+}
+
+// Network::step() is kernel().tick(): driving the kernel directly must move
+// the routers and NICs at every shard count, not only the global
+// components registered on it (the traffic replay here), and must give the
+// same deliveries (order and cycles) and statistics as net.run().
+TEST(ShardedDeterminism, KernelRunEqualsNetworkRun) {
+  const std::string csv = matrix_csv(107);
+  for (const int shards : {1, 2, 4}) {
+    auto run = [&](bool through_kernel) {
+      Network net(Config::paper_baseline(), shards);
+      std::vector<std::string> log;
+      net.set_delivery_observer([&](const core::Packet& p) {
+        log.push_back(std::to_string(net.now()) + ":" + std::to_string(p.src) +
+                      "->" + std::to_string(p.dst) + " id=" + std::to_string(p.id));
+      });
+      TraceReplay replay(net, parse_trace(csv));
+      replay.start();
+      if (through_kernel) {
+        net.kernel().run(600);
+      } else {
+        net.run(600);
+      }
+      return std::make_pair(log, net.stats());
+    };
+    const auto [net_log, net_stats] = run(false);
+    const auto [kernel_log, kernel_stats] = run(true);
+    ASSERT_GT(net_stats.packets_delivered, 0) << "shards=" << shards;
+    EXPECT_EQ(kernel_log, net_log) << "shards=" << shards;
+    EXPECT_EQ(kernel_stats.packets_injected, net_stats.packets_injected) << "shards=" << shards;
+    EXPECT_EQ(kernel_stats.packets_delivered, net_stats.packets_delivered) << "shards=" << shards;
+    EXPECT_EQ(kernel_stats.flits_delivered, net_stats.flits_delivered) << "shards=" << shards;
+    EXPECT_EQ(kernel_stats.buffer_writes, net_stats.buffer_writes) << "shards=" << shards;
+    EXPECT_EQ(kernel_stats.latency.sum(), net_stats.latency.sum()) << "shards=" << shards;
+    EXPECT_EQ(kernel_stats.hops.sum(), net_stats.hops.sum()) << "shards=" << shards;
   }
 }
 

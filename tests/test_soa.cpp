@@ -1,7 +1,8 @@
 // SoA hot-path gates: the facade contract (object layer as views over
 // RouterStatePool), the quiescence audit (every quiescent() recomputes from
 // occupancy — the stale-flag pattern PR 6 fixed in Channel::take()), and the
-// rotation-pointer semantics shared by own-storage and pool-backed arbiters.
+// rotation-pointer semantics of arbiters whose pointers live in a
+// RouterStatePool (routers) or in caller-owned ints (the NIC).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -156,7 +157,9 @@ TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
   dst.set_ejection_stall(/*vc=*/0, false);
   for (int c = 0; c < 200 && dst.packets_delivered() == 0; ++c) {
     EXPECT_EQ(dst.eject_pending_counter(), dst.pending_eject_flits());
-    if (dst.pending_eject_flits() > 0) EXPECT_FALSE(dst.quiescent());
+    if (dst.pending_eject_flits() > 0) {
+      EXPECT_FALSE(dst.quiescent());
+    }
     net.step();
   }
   EXPECT_EQ(dst.packets_delivered(), 1);
@@ -212,6 +215,12 @@ void expand(std::uint8_t mask, int inputs, std::uint8_t* req) {
   for (int i = 0; i < inputs; ++i) req[i] = (mask >> i) & 1u;
 }
 
+/// A one-router pool whose link/switch pointer cells back the arbiters
+/// below, exactly as Router and OutputController bind them.
+router::RouterStatePool one_router_pool() {
+  return router::RouterStatePool(1, router::RouterParams{});
+}
+
 TEST(ArbiterRotation, ObjectAndPoolBackedPointersAgreeOverIdleBusyMix) {
   constexpr int kInputs = 4;
   const std::vector<ArbStep> table = {
@@ -226,20 +235,25 @@ TEST(ArbiterRotation, ObjectAndPoolBackedPointersAgreeOverIdleBusyMix) {
       {0b1000, 3, 0},   // single requester far from pointer, wraps to 0
   };
 
-  router::RoundRobinArbiter own(kInputs);  // object-layer private storage
-  int slot = 0;                            // stand-in for a pool pointer cell
-  router::RoundRobinArbiter pooled(kInputs, &slot);
+  // The NIC's storage (an int its object owns) against a router's (a pool
+  // cell): the same arbiter over either must grant identically.
+  int nic_rotation = 0;
+  router::RoundRobinArbiter object(kInputs, &nic_rotation);
+  router::RouterStatePool pool = one_router_pool();
+  router::RoundRobinArbiter pooled(kInputs, pool.link_pointer(0, 0));
 
   std::uint8_t req[kInputs];
   for (std::size_t s = 0; s < table.size(); ++s) {
     expand(table[s].request_mask, kInputs, req);
-    const int g_own = own.arbitrate(req);
+    const int g_object = object.arbitrate(req);
     const int g_pool = pooled.arbitrate(req);
-    EXPECT_EQ(g_own, table[s].want_grant) << "step " << s;
-    EXPECT_EQ(g_pool, g_own) << "step " << s;
-    EXPECT_EQ(own.pointer(), table[s].want_pointer) << "step " << s;
-    EXPECT_EQ(pooled.pointer(), own.pointer()) << "step " << s;
-    EXPECT_EQ(slot, pooled.pointer()) << "step " << s;  // pool cell IS state
+    EXPECT_EQ(g_object, table[s].want_grant) << "step " << s;
+    EXPECT_EQ(g_pool, g_object) << "step " << s;
+    EXPECT_EQ(object.pointer(), table[s].want_pointer) << "step " << s;
+    EXPECT_EQ(pooled.pointer(), object.pointer()) << "step " << s;
+    // The storage cells ARE the state.
+    EXPECT_EQ(nic_rotation, object.pointer()) << "step " << s;
+    EXPECT_EQ(pool.link_pointer_value(0, 0), pooled.pointer()) << "step " << s;
   }
 }
 
@@ -247,9 +261,9 @@ TEST(ArbiterRotation, PriorityFlatPathMatchesFullPathOnEqualPriorities) {
   constexpr int kInputs = 5;  // the switch/link arbiter width (ports)
   const std::vector<std::uint8_t> masks = {0b00000, 0b01010, 0b00000, 0b11111,
                                            0b00100, 0b00000, 0b10001, 0b01110};
-  router::PriorityArbiter full(kInputs);
-  int slot = 0;
-  router::PriorityArbiter flat(kInputs, &slot);
+  router::RouterStatePool pool = one_router_pool();
+  router::PriorityArbiter full(kInputs, pool.link_pointer(0, 0));
+  router::PriorityArbiter flat(kInputs, pool.link_pointer(0, 1));
 
   std::uint8_t req[kInputs];
   const int prio[kInputs] = {0, 0, 0, 0, 0};
@@ -269,8 +283,9 @@ TEST(ArbiterRotation, ZeroRequesterTickNeverPerturbsNextGrant) {
   constexpr int kInputs = 4;
   for (std::uint8_t mask = 1; mask < (1u << kInputs); ++mask) {
     for (int spin = 0; spin < kInputs; ++spin) {
-      router::RoundRobinArbiter a(kInputs);
-      router::RoundRobinArbiter b(kInputs);
+      router::RouterStatePool pool = one_router_pool();
+      router::RoundRobinArbiter a(kInputs, pool.switch_pointer(0, 0));
+      router::RoundRobinArbiter b(kInputs, pool.switch_pointer(0, 1));
       // Rotate both pointers to the same position via granted calls.
       std::uint8_t all[kInputs] = {1, 1, 1, 1};
       for (int i = 0; i < spin; ++i) {
