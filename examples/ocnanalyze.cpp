@@ -58,7 +58,7 @@ struct Options {
       "  --quick                              with --matrix: skip the radix sweep\n"
       "  --break KIND                         corrupt the model before analysis:\n"
       "                                       zero-latency-cross | global-mutator\n"
-      "                                       | gated-boundary (proof must fail)\n"
+      "                                       (proof must fail)\n"
       "  --json PATH                          write the runs as an\n"
       "                                       ocn-analyze/v1 JSON document\n"
       "  --quiet                              exit status only\n",
@@ -139,8 +139,6 @@ analyze::AnalysisReport analyze_one(const core::Config& config, int shards,
     kind = analyze::BreakKind::kZeroLatencyCross;
   } else if (break_kind == "global-mutator") {
     kind = analyze::BreakKind::kGlobalMutator;
-  } else if (break_kind == "gated-boundary") {
-    kind = analyze::BreakKind::kGatedBoundary;
   } else {
     std::fprintf(stderr, "unknown --break kind '%s'\n", break_kind.c_str());
     usage(argv0);

@@ -119,18 +119,6 @@ struct Analysis {
                       "consumer (>= 1 required)");
       return Proof::kRefuted;
     }
-    if (!s.boundary) {
-      const auto [w, r] = cross_pair(sid);
-      std::string path = w >= 0 && r >= 0 ? edge_path(sid, w, r)
-                                          : m.describe_state(sid);
-      add_finding(Severity::kError, "gated-boundary-channel",
-                  "gated boundary channel: " + path +
-                      ": classified interior, so its active flag gates "
-                      "advance() — but the flag is written by two shards in "
-                      "the same phase and its transient value is unordered; "
-                      "cross-shard channels must advance unconditionally");
-      return Proof::kRefuted;
-    }
     return Proof::kBarrierSlack;
   }
 
@@ -308,7 +296,7 @@ AnalysisReport analyze(const FootprintModel& m) {
   report.race_free = true;
   for (const Finding& f : report.findings) {
     if (f.code == "cross-shard-race" || f.code == "shard-crossing-mutable-state" ||
-        f.code == "atomic-parallel-read" || f.code == "gated-boundary-channel") {
+        f.code == "atomic-parallel-read") {
       report.race_free = false;
     }
   }

@@ -22,7 +22,6 @@ const char* break_kind_name(BreakKind k) {
   switch (k) {
     case BreakKind::kZeroLatencyCross: return "zero-latency-cross";
     case BreakKind::kGlobalMutator: return "global-mutator";
-    case BreakKind::kGatedBoundary: return "gated-boundary";
   }
   return "?";
 }
@@ -204,12 +203,11 @@ FootprintModel build_footprint(const core::Config& config,
 
   // --- channels --------------------------------------------------------------
   // One state per delay line, carrying sender (write, phase A), receiver
-  // (read, phase A) and the phase-B advance by the classifying shard —
-  // exactly Network::build's add_channel: interior when both endpoints
-  // share a shard, boundary (advanced by the *receiver's* shard,
-  // unconditionally) otherwise. Sender/receiver are per channel direction:
-  // a link's credit channel flows dst -> src, so it is filed under
-  // shard_of(src) while the flit channel is filed under shard_of(dst).
+  // (read, phase A) and the phase-B advance by the *receiver's* shard —
+  // exactly Network::build's channel filing; `boundary` marks the channels
+  // whose endpoints straddle two shards. Sender/receiver are per channel
+  // direction: a link's credit channel flows dst -> src, so it is filed
+  // under shard_of(src) while the flit channel is filed under shard_of(dst).
   // Each advance also stamps the receiving component's arrival byte
   // (ChannelBase::notify_wake), modelled as a phase-B write to the wake
   // state — the analyzer folds it into the shard-locality check, which is
@@ -294,7 +292,7 @@ FootprintModel build_footprint(const core::Config& config,
   m.obligations.push_back(ObligationSpec{
       "channel-barrier-slack",
       "every channel either stays inside one shard or crosses the barrier "
-      "with >= 1 cycle of slack and an unconditional advance",
+      "with >= 1 cycle of slack",
       chan_states});
   {
     // The arrival bytes' correctness hinges on receiver-shard filing:
@@ -342,11 +340,6 @@ void corrupt(FootprintModel& model, BreakKind kind) {
       }
       return;
     }
-    case BreakKind::kGatedBoundary:
-      for (State& s : model.states) {
-        if (s.channel && s.boundary) s.boundary = false;
-      }
-      return;
   }
 }
 

@@ -74,11 +74,8 @@ struct State {
   bool channel = false;
   /// Executor of the advance (the shard whose worker calls advance()).
   int advance_shard = kSerialShard;
-  /// True when the partition classifies this channel as shard-crossing and
-  /// therefore advanced *unconditionally* at the barrier. A cross-shard
-  /// channel left gated ("interior") would consult its active flag — a
-  /// relaxed atomic written by both endpoint shards in the same phase whose
-  /// transient value is unordered — so the analyzer rejects that shape.
+  /// True when the channel's sender and receiver are on different shards
+  /// (witness text, and the channels kZeroLatencyCross corrupts).
   bool boundary = false;
 
   /// Relaxed-atomic accumulator whose parallel-phase mutations commute
@@ -147,9 +144,6 @@ enum class BreakKind {
   /// A parallel-phase component that mutates (and reads) one global
   /// non-atomic accumulator from every shard.
   kGlobalMutator,
-  /// Cross-shard channels classified interior, so their active flag gates
-  /// advance() despite being written by two shards.
-  kGatedBoundary,
 };
 
 const char* break_kind_name(BreakKind k);

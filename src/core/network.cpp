@@ -27,24 +27,12 @@ Network::Network(Config config, int shards)
 void Network::build() {
   const int n = topology_->num_nodes();
   // Component/channel placement: every per-node object goes to its node's
-  // shard; a channel whose endpoints straddle two shards is a boundary
-  // channel (advanced unconditionally at the barrier). Tile-port channels
-  // connect a node to itself, so they are always interior.
-  //
-  // Channels are classified (sender, receiver) and a boundary channel is
-  // filed under the RECEIVER's shard. That choice is what makes the
-  // arrival bytes shard-local: a channel stamps its receiver's per-port
-  // arrival byte as it advances (phase B), and filing the channel under the
-  // receiver's shard means the stamping worker IS the byte owner's worker —
-  // the same one that reads and clears the byte in phase A. No arrival byte
-  // is ever touched by two shards.
-  const auto add_channel = [this](NodeId sender, NodeId receiver, ChannelBase* ch) {
-    if (shard_of(sender) == shard_of(receiver)) {
-      kernel_.add_interior(shard_of(sender), ch);
-    } else {
-      kernel_.add_boundary(shard_of(receiver), ch);
-    }
-  };
+  // shard, and every channel is filed under its RECEIVER's shard. That
+  // filing is what makes the arrival bytes shard-local: a channel stamps
+  // its receiver's per-port arrival byte as it advances (phase B), and
+  // filing the channel under the receiver's shard means the stamping worker
+  // IS the byte owner's worker — the same one that reads and clears the
+  // byte in phase A. No arrival byte is ever touched by two shards.
 
   // Per-shard SoA pools: routers of shard s take consecutive slots in
   // pools_[s], in node order.
@@ -87,11 +75,10 @@ void Network::build() {
         .attach(link.flits.get(), link.credits.get());
     // The attach calls above wired each channel to its receiver's per-port
     // arrival byte (flits -> dst input controller, credits -> src output
-    // controller). The credit channel flows dst -> src, so it is classified
-    // with the opposite (sender, receiver) pair — the receiver-shard filing
-    // rule above keeps both channels' wake stamping shard-local.
-    add_channel(desc.src, desc.dst, link.flits.get());
-    add_channel(desc.dst, desc.src, link.credits.get());
+    // controller). The credit channel flows dst -> src, so it is filed
+    // under the src router's shard.
+    kernel_.add(shard_of(desc.dst), link.flits.get());
+    kernel_.add(shard_of(desc.src), link.credits.get());
     if (config_.fault_layer) {
       auto transform = std::make_unique<FaultyLinkTransform>(
           SteeredLink(router::kDataBits, config_.link_spare_bits));
@@ -125,10 +112,10 @@ void Network::build() {
     // Channels delivering INTO the router were wired to its arrival bytes
     // by the attach calls above; channels delivering into the NIC are wired
     // to the NIC's own arrival flags by Nic::attach.
-    add_channel(i, i, inj.flits.get());
-    add_channel(i, i, inj.credits.get());
-    add_channel(i, i, ej.flits.get());
-    add_channel(i, i, ej.credits.get());
+    kernel_.add(shard_of(i), inj.flits.get());
+    kernel_.add(shard_of(i), inj.credits.get());
+    kernel_.add(shard_of(i), ej.flits.get());
+    kernel_.add(shard_of(i), ej.credits.get());
     inject_links_.push_back(std::move(inj));
     eject_links_.push_back(std::move(ej));
   }

@@ -33,8 +33,8 @@ bool Nic::quiescent() const {
   // The arrival bytes are set exactly when the corresponding channel holds
   // a delivered value (see the member comment), so these two loads replace
   // the channel-object probes.
-  if (inj_credit_arrive_.load(std::memory_order_relaxed) != 0) return false;
-  if (eject_arrive_.load(std::memory_order_relaxed) != 0) return false;
+  if (inj_credit_arrive_ != 0) return false;
+  if (eject_arrive_ != 0) return false;
   if (!loopback_.empty() || !carry_to_router_.empty()) return false;
   return queued_flit_count_ == 0 && eject_pending_count_ == 0;
 }
@@ -156,8 +156,8 @@ void Nic::step(Cycle now) {
   // Credits returned by the tile input controller (arrival-byte gated; see
   // quiescent()).
   if (inject_credit_ != nullptr &&
-      inj_credit_arrive_.load(std::memory_order_relaxed) != 0) {
-    inj_credit_arrive_.store(0, std::memory_order_relaxed);
+      inj_credit_arrive_ != 0) {
+    inj_credit_arrive_ = 0;
     if (auto credit = inject_credit_->take()) {
       if (!config_.router.dropping()) {
         auto& c = credits_[static_cast<std::size_t>(credit->vc)];
@@ -189,8 +189,8 @@ void Nic::process_ejection(Cycle now) {
   // Arrival-byte gated, in-place arrival handling (receive + consume): the
   // pending-queue copy goes straight from channel storage, skipping the
   // take() temporary.
-  if (eject_arrive_.load(std::memory_order_relaxed) != 0) {
-    eject_arrive_.store(0, std::memory_order_relaxed);
+  if (eject_arrive_ != 0) {
+    eject_arrive_ = 0;
     const std::optional<Flit>& arriving = eject_->receive();
     if (arriving.has_value()) {
       const Flit& fl = *arriving;

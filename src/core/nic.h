@@ -154,9 +154,10 @@ class Nic final : public Clockable {
   /// flits, returned injection credits), same protocol as the router pool's
   /// wake row: attach() wires them, the channel stamps on delivery, and
   /// quiescent()/step() probe the channel object only when the byte is set,
-  /// clearing it as they consume.
-  std::atomic<std::uint8_t> eject_arrive_{0};
-  std::atomic<std::uint8_t> inj_credit_arrive_{0};
+  /// clearing it as they consume. Plain bytes: both channels are filed under
+  /// this NIC's shard, so stamp and clear never run on two shards at once.
+  std::uint8_t eject_arrive_ = 0;
+  std::uint8_t inj_credit_arrive_ = 0;
 
   std::vector<std::deque<QueuedFlit>> vc_queues_;
   /// Piggyback mode: credits for the router's tile output controller

@@ -311,6 +311,27 @@ DiffResult run_shard_lockstep(const core::Config& config,
       return result;
     }
 
+    // Work is shard-invariant too: both kernels step the same components
+    // and advance the same channels every cycle.
+    const Kernel& bk = base.kernel();
+    const Kernel& sk = sharded.kernel();
+    if (bk.last_tick_stepped() != sk.last_tick_stepped() ||
+        bk.last_tick_advanced() != sk.last_tick_advanced()) {
+      result.diverged = true;
+      result.divergence.cycle = c;
+      result.divergence.kind = "work";
+      result.divergence.details.push_back(
+          "components stepped: 1-shard=" + std::to_string(bk.last_tick_stepped()) +
+          " " + std::to_string(shards) + "-shard=" +
+          std::to_string(sk.last_tick_stepped()));
+      result.divergence.details.push_back(
+          "channels advanced: 1-shard=" + std::to_string(bk.last_tick_advanced()) +
+          " " + std::to_string(shards) + "-shard=" +
+          std::to_string(sk.last_tick_advanced()));
+      result.deliveries = static_cast<std::int64_t>(base_log.size());
+      return result;
+    }
+
     if (base_replay.finished() && base.idle() && sharded_replay.finished() &&
         sharded.idle()) {
       result.drained = true;

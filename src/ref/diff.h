@@ -50,7 +50,7 @@ struct Perturbation {
 
 struct Divergence {
   Cycle cycle = -1;
-  std::string kind;  ///< "state" | "delivery" | "shape"
+  std::string kind;  ///< "state" | "delivery" | "shape" | "soa" | "work"
   /// Side-by-side mismatches, "label: production=X reference=Y" (capped).
   std::vector<std::string> details;
   std::string to_string() const;
@@ -74,9 +74,9 @@ DiffResult run_lockstep(const core::Config& config, const Scenario& scenario,
 
 /// Shard-determinism referee: run the production network twice on the same
 /// config/scenario/trace — once on the single-threaded kernel, once with
-/// `shards` spatial shards — and compare the delivery log plus the full
-/// observable state vector (the same one run_lockstep checks) after every
-/// cycle. The sharded kernel's contract is bit-identical execution, so any
+/// `shards` spatial shards — and compare the delivery log, the full
+/// observable state vector (the same one run_lockstep checks) and the
+/// kernel's work (components stepped, channels advanced) after every cycle. The sharded kernel's contract is bit-identical execution, so any
 /// divergence is a bug in the shard partitioning or barrier, never
 /// tolerance. Requires shards >= 2.
 DiffResult run_shard_lockstep(const core::Config& config,

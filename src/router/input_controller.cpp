@@ -42,8 +42,8 @@ void InputController::accept_arrival() {
   // Arrival gate: the byte is set iff the channel delivered this cycle, so
   // the (common) idle case is one contiguous-row byte load instead of a
   // probe of the heap-scattered channel object.
-  if (arrive_flit_->load(std::memory_order_relaxed) == 0) return;
-  arrive_flit_->store(0, std::memory_order_relaxed);
+  if (*arrive_flit_ == 0) return;
+  *arrive_flit_ = 0;
   // Process the arriving flit in place (receive + consume) instead of
   // take()ing it out: the buffered copy goes channel storage -> ring slab
   // directly, one 160-byte copy (sizeof(Flit)) instead of two moves through a

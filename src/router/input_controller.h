@@ -98,7 +98,7 @@ class InputController {
   /// channel stamps it as it advances (attach() wires set_wake);
   /// accept_arrival probes the channel object only when it is set, and
   /// clears it as it consumes.
-  std::atomic<std::uint8_t>* arrive_flit_;
+  std::uint8_t* arrive_flit_;
   /// Pool-backed per-cycle transient (one switch traversal per input port),
   /// cleared by RouterStatePool::clear_cycle_flags at the end of each step.
   bool* popped_;

@@ -47,8 +47,8 @@ void OutputController::process_credits() {
   // Arrival gate: the byte is set iff the channel delivered this cycle, so
   // the (common) idle case is one contiguous-row byte load instead of a
   // probe of the heap-scattered channel object.
-  if (arrive_credit_->load(std::memory_order_relaxed) == 0) return;
-  arrive_credit_->store(0, std::memory_order_relaxed);
+  if (*arrive_credit_ == 0) return;
+  *arrive_credit_ = 0;
   const std::optional<Credit>& credit = credit_downstream_->receive();
   if (!credit.has_value()) return;
   if (!params_.dropping()) {  // dropping mode: drain, no credit loop

@@ -163,7 +163,7 @@ class OutputController {
   PriorityArbiter link_arb_;
   /// This port's credit-arrival byte in the pool's wake row (see
   /// InputController::arrive_flit_ for the protocol).
-  std::atomic<std::uint8_t>* arrive_credit_;
+  std::uint8_t* arrive_credit_;
   /// Pool-backed per-cycle transient (one flit per link per cycle), cleared
   /// with the stage_fresh flags by RouterStatePool::clear_cycle_flags.
   bool* link_used_;

@@ -33,9 +33,9 @@ Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& 
 }
 
 bool Router::quiescent() const {
-  const std::atomic<std::uint8_t>* row = pool_->wake_row(slot_);
+  const std::uint8_t* row = pool_->wake_row(slot_);
   for (int i = 0; i < RouterStatePool::kWakeWidth; ++i) {
-    if (row[i].load(std::memory_order_relaxed) != 0) return false;
+    if (row[i] != 0) return false;
   }
   return !pool_->has_internal_work(slot_);
 }

@@ -26,10 +26,12 @@
 //     probes a channel object only when its byte is set (clearing it as it
 //     consumes). The bytes are stamped-on-delivery work presence — set iff
 //     the channel output is engaged — never a cached "busy" bit (the stale
-//     flag Channel::take() once had; DESIGN.md §4h).
+//     flag Channel::take() once had; DESIGN.md §4h). They are plain bytes:
+//     a channel is filed under its receiver's shard, so the phase-B stamp
+//     and the phase-A read/clear run on one shard, on either side of the
+//     barrier (the analyzer's arrival-byte-filing obligation).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -89,14 +91,11 @@ class RouterStatePool {
         alloc_want_odd_(make_bools(n_rpv())),
         alloc_head_(make_bools(n_rpv())),
         alloc_primed_(make_bools(n_rpv())),
-        arrive_(new std::atomic<std::uint8_t>[n_rp() * 2]) {
+        arrive_(new std::uint8_t[n_rp() * 2]()) {
     for (std::size_t i = 0; i < n_rpv(); ++i) {
       routed_at_[i] = -1;
       out_port_[i] = topo::Port::kTile;
       out_vc_[i] = kInvalidVc;
-    }
-    for (std::size_t i = 0; i < n_rp() * 2; ++i) {
-      arrive_[i].store(0, std::memory_order_relaxed);
     }
   }
 
@@ -235,12 +234,12 @@ class RouterStatePool {
   /// that consumes that channel. Invariant: byte != 0 iff the channel
   /// output is engaged (both flag owner and channel are stepped/advanced by
   /// the receiver's shard, so no other shard ever touches the byte).
-  std::atomic<std::uint8_t>* arrival(int r, int p, int kind) {
+  std::uint8_t* arrival(int r, int p, int kind) {
     return &arrive_[(rp(r, p) << 1) + static_cast<std::size_t>(kind)];
   }
   /// The kWakeWidth contiguous arrival bytes of router `r` — Router::
   /// quiescent() scans this row (any byte set => arrivals pending).
-  const std::atomic<std::uint8_t>* wake_row(int r) const { return &arrive_[rp(r, 0) << 1]; }
+  const std::uint8_t* wake_row(int r) const { return &arrive_[rp(r, 0) << 1]; }
 
   /// True when router slot `r` has internal work pending: any buffered flit,
   /// staged flit, queued carry credit, or reservation slot. Recomputed from
@@ -322,7 +321,7 @@ class RouterStatePool {
   std::unique_ptr<bool[]> alloc_want_odd_;
   std::unique_ptr<bool[]> alloc_head_;
   std::unique_ptr<bool[]> alloc_primed_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> arrive_;
+  std::unique_ptr<std::uint8_t[]> arrive_;
 };
 
 }  // namespace ocn::router

@@ -52,7 +52,7 @@ int step_due(const std::vector<Clockable*>& components, Cycle now) {
   return stepped;
 }
 
-int advance_active(const std::vector<ChannelBase*>& channels) {
+int advance_due(const std::vector<ChannelBase*>& channels) {
   int advanced = 0;
   for (ChannelBase* ch : channels) {
     if (ch->active()) {
@@ -74,14 +74,9 @@ void Kernel::tick() {
   for_each_shard([now](Shard& sh) { sh.stepped = step_due(sh.components, now); });
   int stepped = step_due(components_, now);
 
-  // Phase B: channels. Interior channels keep the active-flag skip; boundary
-  // channels advance unconditionally (see the header comment).
-  for_each_shard([](Shard& sh) {
-    sh.advanced = advance_active(sh.interior);
-    for (ChannelBase* ch : sh.boundary) ch->advance();
-    sh.advanced += static_cast<int>(sh.boundary.size());
-  });
-  int advanced = advance_active(channels_);
+  // Phase B: every shard advances its due channels.
+  for_each_shard([](Shard& sh) { sh.advanced = advance_due(sh.channels); });
+  int advanced = 0;
 
   for (const Shard& sh : shards_) {
     stepped += sh.stepped;
@@ -90,6 +85,7 @@ void Kernel::tick() {
   if (end_of_tick_) end_of_tick_();
 
   last_tick_stepped_ = stepped;
+  last_tick_advanced_ = advanced;
   ++now_;
   if (metrics_) {
     cycles_counter_->inc();

@@ -7,13 +7,14 @@
 // once. Because no component ever observes another component's same-cycle
 // writes, evaluation order is irrelevant and simulations are deterministic.
 //
-// One kernel, one skip rule. Channels are not virtual: ChannelBase carries
-// a function pointer selected at construction (unit-latency channels get a
-// two-slot swap) plus an `active` flag, so idle channels are never
-// advanced. A component is stepped only when !quiescent(); routers answer
-// that from their arrival bytes (stamped by the channels delivering into
-// them) and one occupancy scan of their RouterStatePool slot, NICs from
-// O(1) counters, everything else by default "never quiescent".
+// One kernel, one skip rule. Channels are not virtual: every Channel<T> is
+// one ring of latency + 1 slots, advanced through a function pointer only
+// when a value is in flight or at its output, so idle channels are never
+// advanced, at every shard count. A component is stepped only when
+// !quiescent(); routers answer that from their arrival bytes (stamped by
+// the channels delivering into them) and one occupancy scan of their
+// RouterStatePool slot, NICs from O(1) counters, everything else by
+// default "never quiescent".
 //
 // Spatial shards. A kernel built with N > 1 shards steps each shard's
 // components on its own pool worker; with N == 1 the one shard is stepped
@@ -27,12 +28,10 @@
 //            registration order;
 //   barrier  the pool's scatter-gather join: every phase-A write
 //            happens-before every phase-B read;
-//   phase B  every shard advances its channels: interior channels (both
-//            endpoints in the shard) through the active-flag skip, boundary
-//            channels unconditionally, because their flag may be written by
-//            two shards in phase A (relaxed atomics make that benign, but the
-//            transient value is unordered, so it is never consulted); then
-//            the global channels;
+//   phase B  every shard advances its due channels. A channel is filed
+//            under its receiver's shard; the fields its due test reads have
+//            one writer per phase (ChannelBase), so a channel crossing
+//            shards is skipped by the same rule as one inside a shard;
 //   flush    the end-of-tick hook (core::Network replays per-node observer
 //            buffers in node order) runs on the caller before time advances.
 //
@@ -41,11 +40,10 @@
 // tests/test_sharded.cpp hold the kernel to that.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -76,72 +74,75 @@ class Clockable {
   virtual bool quiescent() const { return false; }
 };
 
-/// Non-virtual channel base so the kernel can advance heterogeneous channels
-/// through one direct function-pointer call, and skip idle ones entirely.
+/// Non-virtual channel base so the kernel can test every channel for work
+/// inline and advance only the due ones, through one direct function-pointer
+/// call.
 ///
-/// `active_` is a relaxed atomic because a shard-boundary channel is written
-/// by the sender's shard (send) while the receiver's shard reads/clears the
-/// arriving value (take) in the same phase. There is never more than one
-/// writer per phase, so plain relaxed loads/stores suffice; the kernel
-/// never *consults* a boundary channel's flag (it advances boundary
-/// channels unconditionally), so a transiently stale value is harmless.
+/// A channel is due when a value is in flight or sitting at its output,
+/// i.e. when it has accepted more values (`sends_`) than it has retired
+/// (consumed by the receiver, or expired unconsumed at an advance). Each
+/// count has one writer per phase: the sender bumps `sends_` in phase A;
+/// the receiver bumps `retired_` in phase A, and the advance — run by the
+/// receiver's shard in phase B — bumps it on expiry. The kernel tests them
+/// in phase B, after the barrier, so a channel crossing shards is skipped
+/// by the same rule as any other, with no atomics.
 class ChannelBase {
  public:
   void advance() { advance_fn_(this); }
-  /// True when the channel has (or may have) values in flight; idle channels
-  /// are skipped by Kernel::tick.
-  bool active() const { return active_.load(std::memory_order_relaxed); }
+  /// True when the channel has a value in flight or at its output; channels
+  /// that are not are skipped by Kernel::tick.
+  bool active() const { return sends_ != retired_; }
+  std::int64_t sends() const { return sends_; }
 
-  /// Arrival-byte wiring: stamp `*wake` (relaxed store of 1) whenever an
-  /// advance leaves a value visible at the output — i.e. whenever the
-  /// receiving component has an arrival to consume next cycle. The byte is
-  /// owned by the receiver (RouterStatePool or the NIC); a channel is
-  /// always advanced by the receiver's shard (boundary channels are filed
-  /// under the receiver's shard), so stamping in phase B and
-  /// reading/clearing in phase A never cross a shard — the phases' barrier
-  /// orders them.
-  void set_wake(std::atomic<std::uint8_t>* wake) { wake_ = wake; }
+  /// Arrival-byte wiring: stamp `*wake` (store 1) whenever an advance leaves
+  /// a value visible at the output — i.e. whenever the receiving component
+  /// has an arrival to consume next cycle. The byte is owned by the receiver
+  /// (RouterStatePool or the NIC), and a channel is filed under its
+  /// receiver's shard, so the phase-B stamp and the phase-A read/clear run
+  /// on one shard, ordered by the barrier between the phases.
+  void set_wake(std::uint8_t* wake) { wake_ = wake; }
 
  protected:
   using AdvanceFn = void (*)(ChannelBase*);
   explicit ChannelBase(AdvanceFn fn) : advance_fn_(fn) {}
   ~ChannelBase() = default;  // never deleted through the base
-  void set_active(bool a) { active_.store(a, std::memory_order_relaxed); }
   void notify_wake() {
-    if (wake_ != nullptr) wake_->store(1, std::memory_order_relaxed);
+    if (wake_ != nullptr) *wake_ = 1;
   }
+
+  std::int64_t sends_ = 0;
+  std::int64_t retired_ = 0;
 
  private:
   AdvanceFn advance_fn_;
-  std::atomic<bool> active_{false};
-  std::atomic<std::uint8_t>* wake_ = nullptr;
+  std::uint8_t* wake_ = nullptr;
 };
 
 /// Unidirectional delay line carrying at most one value per cycle.
 ///
 /// send(v) during cycle t makes v visible via receive() during cycle
-/// t + latency. Sending twice in one cycle is a modelling error: it would
-/// silently lose a flit in flight, so it is detected unconditionally (all
-/// build types) and terminates with the channel name.
+/// t + latency. The line is a ring of latency + 1 slots: the read slot is
+/// the output, the slot behind it is where this cycle's send lands, and an
+/// advance clears the read slot (an unconsumed value expires) and moves the
+/// read index one step on. Sending twice in one cycle is a modelling error:
+/// it would silently lose a flit in flight, so it is detected
+/// unconditionally (all build types) and terminates with the channel name.
 template <typename T>
 class Channel final : public ChannelBase {
  public:
   explicit Channel(int latency = 1, std::string name = {})
-      : ChannelBase(latency <= 1 ? &advance_unit : &advance_pipe),
+      : ChannelBase(&advance_ring),
         name_(std::move(name)),
-        pipe_(latency > 0 ? static_cast<std::size_t>(latency - 1) : 0) {
+        ring_(static_cast<std::size_t>(latency > 0 ? latency : 1) + 1) {
     assert(latency >= 1 && "channels are registered; latency must be >= 1");
   }
 
   /// The value arriving this cycle, if any. May be called repeatedly.
-  const std::optional<T>& receive() const { return out_; }
+  const std::optional<T>& receive() const { return ring_[head_]; }
 
   /// Consume the arriving value (clears it so a second reader sees nothing).
-  /// Also recomputes the active flag: once the output is taken the channel
-  /// only has work left if values are still in flight, so the kernel must
-  /// not burn an advance on a provably empty channel next tick.
   std::optional<T> take() {
-    std::optional<T> v = std::move(out_);
+    std::optional<T> v = std::move(ring_[head_]);
     consume();
     return v;
   }
@@ -150,31 +151,23 @@ class Channel final : public ChannelBase {
   /// the value in place via receive() (the router/NIC hot paths — saves one
   /// full copy of the payload per arrival) MUST call this afterwards; it is
   /// what take() does minus the move. A consume() with no value arriving is
-  /// a semantic no-op (the flag recompute matches what advance() computed).
-  void consume() {
-    out_.reset();
-    set_active(inflight_.load(std::memory_order_relaxed) > 0);
-  }
+  /// a no-op.
+  void consume() { retire(ring_[head_]); }
 
   void send(T v) {
-    if (pending_.has_value()) {
+    std::optional<T>& slot = ring_[write_index()];
+    if (slot.has_value()) {
       std::fprintf(stderr,
                    "ocn: fatal: double send on channel '%s' in one cycle "
                    "(one value per channel per cycle)\n",
                    name_.empty() ? "<unnamed>" : name_.c_str());
       std::terminate();
     }
-    pending_ = std::move(v);
-    inflight_.store(inflight_.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
+    slot = std::move(v);
     ++sends_;
-    set_active(true);
   }
 
-  bool send_pending() const { return pending_.has_value(); }
-
-  int latency() const { return static_cast<int>(pipe_.size()) + 1; }
-  std::int64_t sends() const { return sends_; }
+  int latency() const { return static_cast<int>(ring_.size()) - 1; }
   const std::string& name() const { return name_; }
 
   /// Physical length of the wires this channel models, in mm. Used for
@@ -182,42 +175,26 @@ class Channel final : public ChannelBase {
   double length_mm = 0.0;
 
  private:
-  // Latency-1 fast path: a two-slot swap, no deque involved.
-  static void advance_unit(ChannelBase* base) {
+  static void advance_ring(ChannelBase* base) {
     auto* self = static_cast<Channel*>(base);
-    const bool arriving = self->pending_.has_value();
-    self->out_.swap(self->pending_);
-    self->pending_.reset();
-    if (arriving) self->dec_inflight();
-    self->set_active(self->inflight_.load(std::memory_order_relaxed) > 0 ||
-                     self->out_.has_value());
-    if (self->out_.has_value()) self->notify_wake();
+    self->retire(self->ring_[self->head_]);
+    if (++self->head_ == self->ring_.size()) self->head_ = 0;
+    if (self->ring_[self->head_].has_value()) self->notify_wake();
   }
 
-  static void advance_pipe(ChannelBase* base) {
-    auto* self = static_cast<Channel*>(base);
-    const bool arriving = self->pipe_.front().has_value();
-    self->out_ = std::move(self->pipe_.front());
-    self->pipe_.pop_front();
-    self->pipe_.push_back(std::move(self->pending_));
-    self->pending_.reset();
-    if (arriving) self->dec_inflight();
-    self->set_active(self->inflight_.load(std::memory_order_relaxed) > 0 ||
-                     self->out_.has_value());
-    if (self->out_.has_value()) self->notify_wake();
-  }
+  /// The slot this cycle's send lands in: latency advances behind the read
+  /// slot, which on a ring of latency + 1 slots is the one just before it.
+  std::size_t write_index() const { return (head_ == 0 ? ring_.size() : head_) - 1; }
 
-  void dec_inflight() {
-    inflight_.store(inflight_.load(std::memory_order_relaxed) - 1,
-                    std::memory_order_relaxed);
+  void retire(std::optional<T>& slot) {
+    if (!slot.has_value()) return;
+    slot.reset();
+    ++retired_;
   }
 
   std::string name_;
-  std::deque<std::optional<T>> pipe_;  // latency-1 in-flight slots
-  std::optional<T> pending_;           // written this cycle
-  std::optional<T> out_;               // visible this cycle
-  std::atomic<int> inflight_{0};       // engaged values in pipe_ + pending_
-  std::int64_t sends_ = 0;
+  std::vector<std::optional<T>> ring_;
+  std::size_t head_ = 0;  // read slot
 };
 
 /// Owns nothing; sequences registered components and channels. The caller
@@ -236,19 +213,13 @@ class Kernel {
   /// A global component: stepped serially after every shard, in
   /// registration order.
   void add(Clockable* c) { components_.push_back(c); }
-  /// A global channel, advanced after every shard's channels.
-  void add(ChannelBase* ch) { channels_.push_back(ch); }
-
   /// A component stepped by shard `shard`'s worker.
   void add(int shard, Clockable* c) { shard_at(shard).components.push_back(c); }
-  /// A channel whose sender and receiver both live in `shard`.
-  void add_interior(int shard, ChannelBase* ch) { shard_at(shard).interior.push_back(ch); }
-  /// A channel crossing shards, advanced unconditionally by `shard`'s
-  /// worker. File it under the receiver's shard: a channel stamps its
-  /// receiver's arrival byte as it advances, so the stamp then never
-  /// crosses a shard (phase-A read/clear and phase-B stamp are
-  /// barrier-ordered).
-  void add_boundary(int shard, ChannelBase* ch) { shard_at(shard).boundary.push_back(ch); }
+  /// A channel advanced by shard `shard`'s worker whenever it is due. File
+  /// it under its receiver's shard: the receiver consumes the output in
+  /// phase A and the advance stamps the receiver's arrival byte in phase B,
+  /// so every field the advance writes then stays on one shard.
+  void add(int shard, ChannelBase* ch) { shard_at(shard).channels.push_back(ch); }
 
   /// Unregister a global component (used by detachable observers like the
   /// protocol monitor, whose lifetime is shorter than the network's). No-op
@@ -268,6 +239,8 @@ class Kernel {
 
   /// Components whose step() ran last tick (active-set instrumentation).
   int last_tick_stepped() const { return last_tick_stepped_; }
+  /// Channels advanced last tick.
+  int last_tick_advanced() const { return last_tick_advanced_; }
 
   // --- observability ---------------------------------------------------------
   /// Attach a counter registry. The kernel registers its own counters
@@ -294,8 +267,7 @@ class Kernel {
  private:
   struct Shard {
     std::vector<Clockable*> components;
-    std::vector<ChannelBase*> interior;
-    std::vector<ChannelBase*> boundary;
+    std::vector<ChannelBase*> channels;
     int stepped = 0;
     int advanced = 0;
   };
@@ -309,9 +281,9 @@ class Kernel {
   std::unique_ptr<sweep::ThreadPool> pool_;  // null when there is one shard
   std::function<void()> end_of_tick_;
   std::vector<Clockable*> components_;
-  std::vector<ChannelBase*> channels_;
   Cycle now_ = 0;
   int last_tick_stepped_ = 0;
+  int last_tick_advanced_ = 0;
   bool in_tick_ = false;
   std::vector<Clockable*> deferred_removals_;
 

@@ -189,28 +189,16 @@ TEST(Analyzer, GlobalMutatorCorruptionRefused) {
             std::string::npos);
 }
 
-TEST(Analyzer, GatedBoundaryCorruptionRefused) {
-  const analyze::AnalysisReport r =
-      analyze_broken(baseline(), 2, analyze::BreakKind::kGatedBoundary);
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.race_free);
-  EXPECT_TRUE(has_code(r, "gated-boundary-channel"));
-}
-
 TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
-  // The corruptions model *sharding* bugs: with one shard there is nothing
-  // to race with, so the analyzer correctly accepts them (the sequential
-  // kernel runs them deterministically).
+  // The global mutator models a *sharding* bug: with one shard there is
+  // nothing to race with, so the analyzer correctly accepts it (the
+  // sequential kernel runs it deterministically).
   const auto topo = baseline().make_topology();
   const auto single = core::ShardPartition::single(topo->num_nodes());
-  for (const auto kind : {analyze::BreakKind::kGlobalMutator,
-                          analyze::BreakKind::kGatedBoundary}) {
-    analyze::FootprintModel m = analyze::build_footprint(baseline(), single);
-    analyze::corrupt(m, kind);
-    const analyze::AnalysisReport r = analyze::analyze(m);
-    EXPECT_TRUE(r.ok()) << analyze::break_kind_name(kind) << "\n"
-                        << r.to_string();
-  }
+  analyze::FootprintModel m = analyze::build_footprint(baseline(), single);
+  analyze::corrupt(m, analyze::BreakKind::kGlobalMutator);
+  const analyze::AnalysisReport r = analyze::analyze(m);
+  EXPECT_TRUE(r.ok()) << r.to_string();
 }
 
 // --- schema pin --------------------------------------------------------------
@@ -385,7 +373,7 @@ TEST(DynamicDivergence, UnitLatencyChannelIsOrderInvariant) {
       k.add(&c);
       k.add(&p);
     }
-    k.add(&ch);
+    k.add(0, &ch);
     k.run(10);
     return c.sum;
   };

@@ -44,10 +44,10 @@ struct Harness {
       out_credits.push_back(std::make_unique<Channel<Credit>>(1));
       rtr->input(port).attach(in_flits.back().get(), in_credits.back().get());
       rtr->output(port).attach(out_flits.back().get(), out_credits.back().get(), 3.0);
-      kernel.add(in_flits.back().get());
-      kernel.add(in_credits.back().get());
-      kernel.add(out_flits.back().get());
-      kernel.add(out_credits.back().get());
+      kernel.add(0, in_flits.back().get());
+      kernel.add(0, in_credits.back().get());
+      kernel.add(0, out_flits.back().get());
+      kernel.add(0, out_credits.back().get());
     }
   }
 

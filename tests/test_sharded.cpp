@@ -29,9 +29,7 @@ using traffic::TraceReplay;
 
 // --- Golden replay at N shards -----------------------------------------
 // Mirror of test_replay.cpp's run_recorded, parameterized on the shard
-// count. kernel.channel_advances is deliberately NOT compared: boundary
-// channels advance unconditionally at the barrier (their active flag is a
-// racy transient), so that one diagnostic counter is shard-dependent.
+// count, plus the kernel's work counters, which are shard-invariant too.
 
 struct GoldenRun {
   std::vector<std::string> deliveries;  // "cycle:src->dst id payload"
@@ -39,6 +37,8 @@ struct GoldenRun {
   Cycle end_cycle = 0;
   std::int64_t delivered = 0;
   std::int64_t flits_delivered = 0;
+  std::int64_t component_steps = 0;
+  std::int64_t channel_advances = 0;
 };
 
 GoldenRun run_sharded(const std::string& csv, int shards, bool chaos_kill) {
@@ -46,6 +46,8 @@ GoldenRun run_sharded(const std::string& csv, int shards, bool chaos_kill) {
   if (chaos_kill) c.fault_layer = true;
   Network net(c, shards);
   EXPECT_EQ(net.shards(), shards);
+  obs::CounterRegistry work;
+  net.kernel().attach_metrics(&work);
   core::TraceRecorder recorder;
   net.enable_tracing(&recorder);
   GoldenRun out;
@@ -71,6 +73,8 @@ GoldenRun run_sharded(const std::string& csv, int shards, bool chaos_kill) {
   out.delivered = net.stats().packets_delivered;
   out.flits_delivered = net.stats().flits_delivered;
   out.link_events = recorder.to_csv();
+  out.component_steps = work.counter("kernel.component_steps").value();
+  out.channel_advances = work.counter("kernel.channel_advances").value();
   return out;
 }
 
@@ -78,6 +82,8 @@ void expect_identical(const GoldenRun& a, const GoldenRun& b, int shards) {
   EXPECT_EQ(a.end_cycle, b.end_cycle) << "shards=" << shards;
   EXPECT_EQ(a.delivered, b.delivered) << "shards=" << shards;
   EXPECT_EQ(a.flits_delivered, b.flits_delivered) << "shards=" << shards;
+  EXPECT_EQ(a.component_steps, b.component_steps) << "shards=" << shards;
+  EXPECT_EQ(a.channel_advances, b.channel_advances) << "shards=" << shards;
   ASSERT_EQ(a.deliveries.size(), b.deliveries.size()) << "shards=" << shards;
   for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
     ASSERT_EQ(a.deliveries[i], b.deliveries[i])
@@ -112,6 +118,44 @@ TEST(ShardedDeterminism, KillLinkMatrixMatchesSingleShardExactly) {
     const GoldenRun run = run_sharded(csv, shards, /*chaos_kill=*/true);
     expect_identical(base, run, shards);
   }
+}
+
+// A channel crossing shards is skipped by the same rule as any other: once
+// its one value is delivered, idle ticks advance nothing.
+TEST(ShardedDeterminism, IdleCrossShardChannelIsSkipped) {
+  struct Sender final : Clockable {
+    Channel<int>* out = nullptr;
+    void step(Cycle now) override {
+      if (now == 0) out->send(7);
+    }
+  };
+  struct Receiver final : Clockable {
+    Channel<int>* in = nullptr;
+    std::vector<Cycle> arrivals;
+    void step(Cycle now) override {
+      if (in->take()) arrivals.push_back(now);
+    }
+  };
+  Channel<int> ch(2, "cross");
+  Sender sender;
+  sender.out = &ch;
+  Receiver receiver;
+  receiver.in = &ch;
+  Kernel k(2);
+  obs::CounterRegistry reg;
+  k.attach_metrics(&reg);
+  k.add(0, &sender);
+  k.add(1, &receiver);
+  k.add(1, &ch);  // filed under the receiver's shard
+  k.run(3);       // sent in cycle 0, advanced twice, taken in cycle 2
+  EXPECT_EQ(receiver.arrivals, std::vector<Cycle>{2});
+  EXPECT_EQ(reg.counter("kernel.channel_advances").value(), 2);
+  for (int i = 0; i < 8; ++i) {
+    k.tick();
+    EXPECT_EQ(k.last_tick_advanced(), 0) << "idle tick " << i;
+  }
+  EXPECT_EQ(receiver.arrivals.size(), 1u);
+  EXPECT_EQ(reg.counter("kernel.channel_advances").value(), 2);
 }
 
 // Network::step() is kernel().tick(): driving the kernel directly must move

@@ -192,7 +192,7 @@ TEST(Histogram, NegativeSamplesQuarantinedNotClamped) {
 TEST(Channel, DelaysValueByLatency) {
   Channel<int> ch(3);
   Kernel k;
-  k.add(&ch);
+  k.add(0, &ch);
   ch.send(42);
   for (int i = 0; i < 2; ++i) {
     k.tick();
@@ -224,7 +224,7 @@ TEST(Channel, TakeConsumesValue) {
 TEST(Channel, BackToBackValuesFlowAtFullRate) {
   Channel<int> ch(2);
   Kernel k;
-  k.add(&ch);
+  k.add(0, &ch);
   std::vector<int> got;
   for (int i = 0; i < 10; ++i) {
     ch.send(i);
@@ -310,10 +310,30 @@ TEST(Channel, TakeWithValuesStillInFlightStaysActive) {
   EXPECT_FALSE(ch.active());
 }
 
+// A latency-3 ring holds three values in flight at full rate; an output
+// left unconsumed is cleared by the next advance without disturbing the
+// values behind it.
+TEST(Channel, LatencyThreeRingExpiresUnconsumedOutput) {
+  Channel<int> ch(3);
+  std::vector<int> got;
+  for (int i = 0; i < 9; ++i) {
+    if (i < 6) ch.send(i);
+    ch.advance();
+    const std::optional<int>& out = ch.receive();
+    ASSERT_EQ(out.has_value(), i >= 2 && i < 8) << "advance " << i;
+    if (!out.has_value()) continue;
+    EXPECT_EQ(*out, i - 2);
+    if (*out != 2) got.push_back(ch.take().value());  // 2 is left to expire
+  }
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 3, 4, 5}));
+  EXPECT_FALSE(ch.active());
+  EXPECT_EQ(ch.sends(), 6);
+}
+
 TEST(Kernel, TakenEmptyChannelIsSkippedNextTick) {
   Kernel k;
   Channel<int> ch(1);
-  k.add(&ch);
+  k.add(0, &ch);
   obs::CounterRegistry reg;
   k.attach_metrics(&reg);
   obs::Counter& advances = reg.counter("kernel.channel_advances");
@@ -328,8 +348,8 @@ TEST(Kernel, TakenEmptyChannelIsSkippedNextTick) {
 TEST(Kernel, SkipsInactiveChannels) {
   Kernel k;
   Channel<int> busy(1), idle(1);
-  k.add(&busy);
-  k.add(&idle);
+  k.add(0, &busy);
+  k.add(0, &idle);
   busy.send(1);
   k.tick();
   EXPECT_TRUE(busy.receive().has_value());
