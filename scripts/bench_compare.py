@@ -18,6 +18,9 @@ What is compared
   * every "perf_metrics" key in the baseline must exist in the run (key
     presence only — the values are wall-clock throughput numbers and are
     machine-dependent by contract);
+  * "counters" (deterministic work and traffic counts, snapshotted at fixed
+    cycles) must match exactly: the same snapshots at the same cycles, the
+    same keys, and equal values — no tolerance;
   * "timing" and "notes" are never compared: wall-clock numbers are
     machine-dependent by contract (see bench/common.h).
 
@@ -27,9 +30,9 @@ the run fails when its value is below VALUE. This is how the Mflit/s router
 hot-path gate is wired: the floor is chosen conservatively against the
 machine class CI runs on (see EXPERIMENTS.md S2).
 
---schema-only skips the numeric comparison and only checks that every
-baseline metric key is present — the mode for microbenchmark reports whose
-values are wall-clock dependent.
+--schema-only skips the numeric comparison (metrics and counters) and only
+checks that every baseline metric key is present — the mode for
+microbenchmark reports whose values are wall-clock dependent.
 
 Exit status: 0 = no regression, 1 = regression or comparison mismatch,
 2 = usage / unreadable input.
@@ -107,6 +110,33 @@ def check_min_metrics(run, floors):
     return problems
 
 
+def compare_counters(run, baseline):
+    """Exact comparison of the "counters" snapshots; returns problem strings."""
+    b_snaps = baseline.get("counters", [])
+    r_snaps = run.get("counters", [])
+    if len(b_snaps) != len(r_snaps):
+        return [f"counters: baseline has {len(b_snaps)} snapshot(s), "
+                f"run has {len(r_snaps)}"]
+    problems = []
+    for i, (b, r) in enumerate(zip(b_snaps, r_snaps)):
+        where = f"counters[{i}]"
+        if b.get("cycle") != r.get("cycle"):
+            problems.append(f"{where}: baseline cycle {b.get('cycle')!r} != "
+                            f"run cycle {r.get('cycle')!r}")
+            continue
+        b_vals = b.get("counters", {})
+        r_vals = r.get("counters", {})
+        for name in sorted(b_vals.keys() - r_vals.keys()):
+            problems.append(f"{where}: counter missing from run: {name}")
+        for name in sorted(r_vals.keys() - b_vals.keys()):
+            problems.append(f"{where}: counter not in baseline: {name}")
+        for name, expect in b_vals.items():
+            if name in r_vals and r_vals[name] != expect:
+                problems.append(f"{where}: counter {name}: baseline {expect}, "
+                                f"run {r_vals[name]}")
+    return problems
+
+
 def compare(run, baseline, tolerance, overrides, schema_only):
     """Return a list of human-readable regression strings."""
     problems = []
@@ -140,6 +170,9 @@ def compare(run, baseline, tolerance, overrides, schema_only):
             problems.append(
                 f"metric {name}: baseline {expect:.6g}, run {got:.6g} "
                 f"({rel:+.1f}%, tolerance {tol * 100:.1f}%)")
+
+    if not schema_only:
+        problems += compare_counters(run, baseline)
 
     # perf_metrics: key presence is part of the schema; values are
     # wall-clock dependent and never diffed (floors go through --min-metric).

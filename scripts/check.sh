@@ -20,8 +20,9 @@
 #   bench-smoke  quick benches with --json, compared against bench/baselines/
 #                by scripts/bench_compare.py (e13 numeric, m1 schema-only
 #                plus the saturation-cell Mflit/s floor).
-#   soa-smoke    SoA <-> object-layer equivalence suite (tests/test_soa) +
-#                ocn-analyze --matrix.
+#   soa-smoke    router-pool suite (tests/test_soa: quick matrix in lockstep
+#                against the reference model, quiescence audit, arbiter
+#                rotation tables) + ocn-analyze --matrix.
 #   chaos-smoke  quick fault-injection campaign (bench_e15_chaos) vs
 #                bench/baselines/e15_quick.json.
 #   diff-smoke   lockstep reference-model campaign (ocn-diff) over the quick
@@ -154,7 +155,7 @@ python3 scripts/bench_compare.py --run "$BENCH_OUT/m1_micro.json" \
   --baseline bench/baselines/m1_micro.json --schema-only \
   --min-metric mflits_per_sec.saturation64=0.001
 
-echo "== [soa-smoke] SoA <-> object-layer equivalence suite + analyzer matrix =="
+echo "== [soa-smoke] router-pool suite (quick matrix vs reference model) + analyzer matrix =="
 cmake --build "$FIRST_BUILD" --target test_soa >/dev/null
 "./$FIRST_BUILD/tests/test_soa"
 "./$FIRST_BUILD/examples/ocn-analyze" --matrix --quick --quiet

@@ -274,6 +274,7 @@ void Nic::consume_flit(Flit flit, Cycle now) {
 void Nic::do_injection(Cycle now) {
   if (inject_ == nullptr) return;
   if (queued_flit_count_ == 0) {
+    assert(scheduled_flit_count_ == 0 && "scheduled flits counted but none queued");
     // Empty queues mean zero request bits: the arbiter would return -1 with
     // its pointer frozen, landing in the credit-only branch below — reached
     // here directly.
@@ -335,7 +336,10 @@ void Nic::do_injection(Cycle now) {
   QueuedFlit qf = std::move(q.front());
   q.pop_front();
   --queued_flit_count_;
-  if (qf.send_at >= 0) --scheduled_flit_count_;
+  if (qf.send_at >= 0) {
+    assert(scheduled_flit_count_ > 0 && "scheduled flit dequeued but none counted");
+    --scheduled_flit_count_;
+  }
   if (!config_.router.dropping()) --credits_[static_cast<std::size_t>(vc)];
   if (config_.router.piggyback_credits && !carry_to_router_.empty()) {
     qf.flit.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
@@ -362,12 +366,6 @@ void Nic::deliver(Packet&& packet) {
   } else {
     received_.push_back(std::move(packet));
   }
-}
-
-int Nic::queued_flits() const {
-  int n = 0;
-  for (const auto& q : vc_queues_) n += static_cast<int>(q.size());
-  return n;
 }
 
 }  // namespace ocn::core

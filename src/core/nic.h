@@ -6,6 +6,12 @@
 // priority interleaving — injection of a long low-priority packet is
 // interrupted to inject a short high-priority packet and then resumed,
 // because injection arbitration runs per flit across VC queues.
+//
+// Queue occupancy is kept as counters updated at every push and pop.
+// quiescent(), queued_flits() and pending_eject_flits() all read those
+// counters; there is no second, recomputed copy. The lockstep harness
+// (ref/diff.h) compares both accessors with the reference model's own
+// recount every tick.
 #pragma once
 
 #include <deque>
@@ -93,34 +99,15 @@ class Nic final : public Clockable {
     return class_latency_[static_cast<std::size_t>(service_class)];
   }
   /// Flits currently queued for injection (all VCs).
-  int queued_flits() const;
+  int queued_flits() const { return queued_flit_count_; }
 
   // --- state inspection (differential harness) ------------------------------
   /// Credits held toward the router's tile input buffer for VC v.
   int injection_credits(VcId vc) const { return credits_[static_cast<std::size_t>(vc)]; }
   /// Ejected flits parked awaiting the one-flit-per-cycle consume port.
-  int pending_eject_flits() const {
-    int n = 0;
-    for (const auto& q : eject_pending_) n += static_cast<int>(q.size());
-    return n;
-  }
+  int pending_eject_flits() const { return eject_pending_count_; }
   /// Piggyback credits queued to ride on the next injected flit.
   int carry_backlog() const { return static_cast<int>(carry_to_router_.size()); }
-  /// Incrementally-maintained occupancy counters behind quiescent() and the
-  /// injection/ejection fast paths. The SoA cross-check compares them
-  /// against queued_flits()/pending_eject_flits()/scheduled_flits_queued(),
-  /// which recompute from the queues.
-  int queued_flit_counter() const { return queued_flit_count_; }
-  int eject_pending_counter() const { return eject_pending_count_; }
-  int scheduled_flit_counter() const { return scheduled_flit_count_; }
-  /// Scheduled (send_at >= 0) flits queued, recomputed from the queues.
-  int scheduled_flits_queued() const {
-    int n = 0;
-    for (const auto& q : vc_queues_) {
-      for (const auto& qf : q) n += qf.send_at >= 0 ? 1 : 0;
-    }
-    return n;
-  }
   const router::PriorityArbiter& inject_arbiter() const { return inject_arb_; }
   const router::RoundRobinArbiter& eject_arbiter() const { return eject_arb_; }
 
@@ -175,14 +162,18 @@ class Nic final : public Clockable {
   /// Occupancy counters over vc_queues_ / eject_pending_ (sum of queue
   /// sizes, maintained at every push/pop) so the per-cycle quiescent poll
   /// and the ejection-arbitration gate are O(1) instead of walking all the
-  /// deques. The accessors queued_flits()/pending_eject_flits() still
-  /// recompute from the queues — the SoA cross-check compares both.
+  /// deques. They are the only record of occupancy: queued_flits() and
+  /// pending_eject_flits() return them, and the lockstep harness compares
+  /// both with the reference model's own recount every tick.
   int queued_flit_count_ = 0;
   int eject_pending_count_ = 0;
   /// Scheduled (send_at >= 0) flits currently queued. While zero, the
   /// injection request scan can test credit readiness before touching the
   /// queue front (no reservation-phase checks or missed-slot accounting can
-  /// apply), which skips the deque access for credit-starved VCs.
+  /// apply), which skips the deque access for credit-starved VCs. The
+  /// reference model has no scheduled traffic, so asserts at the mutation
+  /// sites guard it instead: a decrement never takes it below zero, and it
+  /// is zero whenever no flit is queued at all.
   int scheduled_flit_count_ = 0;
   std::vector<bool> eject_stalled_;
   router::RoundRobinArbiter eject_arb_;

@@ -7,32 +7,12 @@
 #include "chaos/chaos.h"
 #include "core/network.h"
 #include "core/shard_partition.h"
-#include "ref/soa_check.h"
 
 namespace ocn::ref {
 
 namespace {
 
 constexpr std::size_t kMaxDetailLines = 16;
-
-/// SoA facade-contract gate: every lockstep tick also materializes the
-/// object-layer state from the RouterStatePool arrays and compares it
-/// field-by-field (ref::soa_crosscheck). Reported as its own divergence
-/// kind so a facade/pool split is never misread as a model mismatch.
-bool soa_divergence(core::Network& net, Cycle c, const char* side,
-                    DiffResult& result) {
-  std::vector<std::string> lines = soa_crosscheck(net);
-  if (lines.empty()) return false;
-  result.diverged = true;
-  result.divergence.cycle = c;
-  result.divergence.kind = "soa";
-  result.divergence.details.push_back(std::string("side: ") + side);
-  for (auto& l : lines) {
-    if (result.divergence.details.size() >= kMaxDetailLines) break;
-    result.divergence.details.push_back(std::move(l));
-  }
-  return true;
-}
 
 /// Walk the production network in the exact order RefNetwork::snapshot
 /// documents. Any new field added to one side must be added to the other
@@ -141,11 +121,6 @@ DiffResult run_lockstep(const core::Config& config, const Scenario& scenario,
     ref.tick();
     ++result.cycles_run;
 
-    if (soa_divergence(net, c, "production", result)) {
-      result.deliveries = static_cast<std::int64_t>(prod_log.size());
-      return result;
-    }
-
     // Delivery log first: a mismatched ejection gives a far better message
     // than the counter drift it also causes.
     const auto& ref_log = ref.deliveries();
@@ -248,12 +223,6 @@ DiffResult run_shard_lockstep(const core::Config& config,
     base.step();
     sharded.step();
     ++result.cycles_run;
-
-    if (soa_divergence(base, c, "1-shard", result) ||
-        soa_divergence(sharded, c, "sharded", result)) {
-      result.deliveries = static_cast<std::int64_t>(base_log.size());
-      return result;
-    }
 
     const std::size_t both = std::min(base_log.size(), sharded_log.size());
     for (std::size_t i = compared; i < both; ++i) {

@@ -7,6 +7,12 @@
 // every cycle. The first mismatch stops the run and is reported with the
 // offending labels side by side.
 //
+// This is the one per-tick check of production state. The router's object
+// layer is a set of views over RouterStatePool and the NIC keeps occupancy
+// counters; nothing else compares them. A view bound to the wrong slice or a
+// counter that misses an update shows up here as a "delivery" or "state"
+// divergence against the reference model's independent bookkeeping.
+//
 // On divergence the caller can hand the trace to minimize_divergence(),
 // a ddmin-style delta debugger that runs fresh model pairs on candidate
 // subsequences until no chunk can be removed, then render the result with
@@ -50,7 +56,10 @@ struct Perturbation {
 
 struct Divergence {
   Cycle cycle = -1;
-  std::string kind;  ///< "state" | "delivery" | "shape" | "soa" | "work"
+  /// "delivery" (ejection logs differ), "state" (snapshot fields differ),
+  /// "shape" (snapshot lengths differ) or, for the shard referee only,
+  /// "work" (components stepped / channels advanced differ).
+  std::string kind;
   /// Side-by-side mismatches, "label: production=X reference=Y" (capped).
   std::vector<std::string> details;
   std::string to_string() const;
@@ -76,7 +85,8 @@ DiffResult run_lockstep(const core::Config& config, const Scenario& scenario,
 /// config/scenario/trace — once on the single-threaded kernel, once with
 /// `shards` spatial shards — and compare the delivery log, the full
 /// observable state vector (the same one run_lockstep checks) and the
-/// kernel's work (components stepped, channels advanced) after every cycle. The sharded kernel's contract is bit-identical execution, so any
+/// kernel's work (components stepped, channels advanced) after every cycle.
+/// The sharded kernel's contract is bit-identical execution, so any
 /// divergence is a bug in the shard partitioning or barrier, never
 /// tolerance. Requires shards >= 2.
 DiffResult run_shard_lockstep(const core::Config& config,

@@ -8,7 +8,9 @@
 // All per-VC buffer and routing state lives in the owning router's
 // RouterStatePool slot; the VcBuffer members are views and the
 // discarding flags are a pool slice. The controller keeps only wiring,
-// per-cycle transients, and statistics.
+// per-cycle transients, and statistics. The views are the one way to read
+// that state: the lockstep harness (ref/diff.h) compares what vc() shows
+// (occupancy, route, granted VC) with the reference model every tick.
 #pragma once
 
 #include <vector>
@@ -56,10 +58,6 @@ class InputController {
   VcBuffer& vc(VcId v) { return vcs_[static_cast<std::size_t>(v)]; }
   const VcBuffer& vc(VcId v) const { return vcs_[static_cast<std::size_t>(v)]; }
   int num_vcs() const { return static_cast<int>(vcs_.size()); }
-
-  /// Dropping flow control: true while VC `v` is mid-discard of an arriving
-  /// packet. Exposed for the SoA equivalence cross-check.
-  bool discarding(VcId v) const { return discarding_[v]; }
 
   /// True if this input already forwarded a flit this cycle (one flit per
   /// input port per cycle crosses the switch).

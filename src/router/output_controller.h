@@ -5,7 +5,7 @@
 // downstream credits per VC, owns the downstream VC allocation state, and
 // holds the cyclic reservation table for pre-scheduled traffic.
 //
-// Credits, VC-allocation flags, the stage registers, the
+// Credits, VC-allocation masks, the stage registers, the
 // piggyback carry ring, and the link-arbiter rotation pointer all live in
 // the owning router's RouterStatePool slot. The stage is a flat Flit slab
 // plus full/fresh flag arrays (replacing std::optional per slot), and the
@@ -94,8 +94,6 @@ class OutputController {
     return n;
   }
   const PriorityArbiter& link_arbiter() const { return link_arb_; }
-  /// Stage register content for `input` (valid only when !stage_empty).
-  const Flit& staged(int input) const { return stage_flits_[input]; }
 
   // --- output stage ---------------------------------------------------------
   bool stage_empty(int input) const { return !stage_full_[input]; }
@@ -104,7 +102,6 @@ class OutputController {
   void stage_push(int input, Flit f);
 
   // --- link -----------------------------------------------------------------
-  bool link_used_this_cycle() const { return *link_used_; }
   /// Pre-scheduled bypass: the flit goes straight from the input buffer to
   /// the link, skipping the output stage and arbitration (section 2.6).
   void send_bypass(Flit f);

@@ -10,9 +10,10 @@
 // Controller, Router) is a set of *views*: their members are references /
 // raw pointers bound into these arrays by their one constructor, so there
 // is exactly one copy of the truth and one implementation of the step
-// logic. ref::soa_crosscheck re-derives each slice from pool index
-// arithmetic, independently of the pointers the views cached, and compares
-// field-by-field every lockstep tick (tests/test_soa.cpp).
+// logic. No summary of this state is kept anywhere else (VC allocation is
+// two bitmasks per output port, read directly), so there is nothing to keep
+// in agreement; the lockstep reference model (ref/diff.h) checks the views
+// against its own bookkeeping every tick.
 //
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
@@ -64,8 +65,8 @@ class RouterStatePool {
         depth_(params.buffer_depth),
         carry_cap_(params.vcs * params.buffer_depth),
         credits_(make_ints(n_rpv(), params.buffer_depth)),
-        vc_allocated_(make_bools(n_rpv())),
-        vc_excluded_(make_bools(n_rpv())),
+        vc_allocated_(new std::uint8_t[n_rp()]()),
+        vc_excluded_(new std::uint8_t[n_rp()]()),
         vc_rr_(make_ints(n_rp(), 0)),
         link_next_(make_ints(n_rp(), 0)),
         switch_next_(make_ints(n_rp(), 0)),
@@ -116,20 +117,9 @@ class RouterStatePool {
                          &out_vc_[i],
                          &dropping_[i]};
   }
-  int buf_count(int r, int p, VcId v) const { return buf_count_[rpv(r, p, v)]; }
-  int buf_head(int r, int p, VcId v) const { return buf_head_[rpv(r, p, v)]; }
-  const Flit* buf_slab(int r, int p, VcId v) const {
-    return &buf_slab_[rpv(r, p, v) * static_cast<std::size_t>(depth_)];
-  }
-  bool routed(int r, int p, VcId v) const { return routed_[rpv(r, p, v)]; }
-  Cycle routed_at(int r, int p, VcId v) const { return routed_at_[rpv(r, p, v)]; }
-  topo::Port out_port(int r, int p, VcId v) const { return out_port_[rpv(r, p, v)]; }
-  VcId out_vc(int r, int p, VcId v) const { return out_vc_[rpv(r, p, v)]; }
-  bool dropping(int r, int p, VcId v) const { return dropping_[rpv(r, p, v)]; }
 
   /// Dropping-flow-control per-VC "currently discarding" flags, `vcs` wide.
   bool* discarding(int r, int p) { return &discarding_[rpv(r, p, 0)]; }
-  bool discarding_flag(int r, int p, VcId v) const { return discarding_[rpv(r, p, v)]; }
 
   // --- contiguous per-(router,port) rows, `vcs` wide ------------------------
   // The batch phase loops (Router::vc_allocation, decode_fronts,
@@ -151,7 +141,7 @@ class RouterStatePool {
   // on retries, so a retry never re-reads the wide flit slab; decode
   // invalidates (a new head means a new request). Cached *request* bits,
   // not cached *state* — the grant outcome is still computed from the live
-  // allocator flags every attempt.
+  // allocator masks every attempt.
   std::uint8_t* alloc_mask_row(int r, int p) { return &alloc_mask_[rpv(r, p, 0)]; }
   bool* alloc_want_odd_row(int r, int p) { return &alloc_want_odd_[rpv(r, p, 0)]; }
   bool* alloc_head_row(int r, int p) { return &alloc_head_[rpv(r, p, 0)]; }
@@ -165,18 +155,15 @@ class RouterStatePool {
 
   // --- output-controller state (router, port) -------------------------------
   int* credits(int r, int p) { return &credits_[rpv(r, p, 0)]; }
-  int credit(int r, int p, VcId v) const { return credits_[rpv(r, p, v)]; }
-  bool* vc_allocated(int r, int p) { return &vc_allocated_[rpv(r, p, 0)]; }
-  bool vc_allocated_flag(int r, int p, VcId v) const { return vc_allocated_[rpv(r, p, v)]; }
-  bool* vc_excluded(int r, int p) { return &vc_excluded_[rpv(r, p, 0)]; }
+  /// Downstream-VC allocation state: bit v of the allocated mask is set
+  /// while VC v is owned by a packet, bit v of the excluded mask while it is
+  /// reserved for scheduled traffic (Config::validate caps vcs at 8).
+  std::uint8_t* vc_allocated(int r, int p) { return &vc_allocated_[rp(r, p)]; }
+  std::uint8_t* vc_excluded(int r, int p) { return &vc_excluded_[rp(r, p)]; }
   int* vc_rotation(int r, int p) { return &vc_rr_[rp(r, p)]; }
-  int vc_rotation_value(int r, int p) const { return vc_rr_[rp(r, p)]; }
   int* link_pointer(int r, int p) { return &link_next_[rp(r, p)]; }
-  int link_pointer_value(int r, int p) const { return link_next_[rp(r, p)]; }
   int* switch_pointer(int r, int p) { return &switch_next_[rp(r, p)]; }
-  int switch_pointer_value(int r, int p) const { return switch_next_[rp(r, p)]; }
   int* resv_count(int r, int p) { return &resv_count_[rp(r, p)]; }
-  int resv_count_value(int r, int p) const { return resv_count_[rp(r, p)]; }
 
   /// Output stage registers: `kNumPorts` slots (one per input port).
   Flit* stage(int r, int p) {
@@ -184,10 +171,6 @@ class RouterStatePool {
   }
   bool* stage_full(int r, int p) {
     return &stage_full_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
-  }
-  bool stage_full_flag(int r, int p, int input) const {
-    return stage_full_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts) +
-                       static_cast<std::size_t>(input)];
   }
   bool* stage_fresh(int r, int p) {
     return &stage_fresh_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
@@ -201,7 +184,6 @@ class RouterStatePool {
   }
   int* carry_head(int r, int p) { return &carry_head_[rp(r, p)]; }
   int* carry_count(int r, int p) { return &carry_count_[rp(r, p)]; }
-  int carry_count_value(int r, int p) const { return carry_count_[rp(r, p)]; }
 
   // --- per-cycle transients -------------------------------------------------
   /// "This input forwarded a flit this cycle" / "this output's link sent this
@@ -294,8 +276,8 @@ class RouterStatePool {
   int carry_cap_;
 
   std::unique_ptr<int[]> credits_;
-  std::unique_ptr<bool[]> vc_allocated_;
-  std::unique_ptr<bool[]> vc_excluded_;
+  std::unique_ptr<std::uint8_t[]> vc_allocated_;
+  std::unique_ptr<std::uint8_t[]> vc_excluded_;
   std::unique_ptr<int[]> vc_rr_;
   std::unique_ptr<int[]> link_next_;
   std::unique_ptr<int[]> switch_next_;

@@ -9,11 +9,12 @@
 // pairs {2c, 2c+1}; a packet uses the even member before crossing its ring's
 // dateline and the odd member after (see DESIGN.md on deadlock freedom).
 //
-// The allocated/excluded flags and the rotation pointer live in the owning
-// router's RouterStatePool slot; the allocator is a view over them plus two
-// incrementally maintained summaries (allocated count, busy mask) that
-// ref::soa_crosscheck re-derives from the flags. The reference model keeps
-// its own allocation code and does not use this class.
+// The allocated and excluded sets are two bitmasks (bit v = VC v) and the
+// rotation pointer one int, all in the owning router's RouterStatePool
+// slot. The allocator is a view over them and keeps no summary of its own:
+// every query, including allocate()'s fast-fail, reads the masks. The
+// reference model keeps its own allocation code and does not use this
+// class.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,10 @@ namespace ocn::router {
 
 class VcAllocator {
  public:
-  /// `allocated`/`excluded` are `vcs` flags and `rotation` one int, all
-  /// owned by a RouterStatePool (zero/false-initialized).
-  VcAllocator(int vcs, bool enforce_parity, bool* allocated, bool* excluded,
-              int* rotation)
+  /// `allocated`/`excluded` are one mask each and `rotation` one int, all
+  /// owned by a RouterStatePool (zero-initialized).
+  VcAllocator(int vcs, bool enforce_parity, std::uint8_t* allocated,
+              std::uint8_t* excluded, int* rotation)
       : vcs_(vcs),
         enforce_parity_(enforce_parity),
         allocated_(allocated),
@@ -46,16 +47,9 @@ class VcAllocator {
   bool allocate_exact(VcId vc);
 
   void release(VcId vc);
-  bool is_allocated(VcId vc) const { return allocated_[vc]; }
+  bool is_allocated(VcId vc) const { return (*allocated_ & bit(vc)) != 0; }
   int vcs() const { return vcs_; }
   int free_count() const;
-  /// O(1): every VC currently owned by a packet. The common failure case at
-  /// saturation — VC ownership persists while credit-starved — so
-  /// allocate() fast-fails on it without the eligibility scan.
-  bool all_allocated() const { return allocated_count_ == vcs_; }
-  /// VCs currently allocated (maintained incrementally; equals the popcount
-  /// of the allocated flags — the SoA cross-check asserts this).
-  int allocated_count() const { return allocated_count_; }
   /// Fairness-rotation pointer: the VC scanned first on the next allocate().
   /// Exposed for the differential harness's state comparison.
   int rotation() const { return *rr_; }
@@ -64,29 +58,13 @@ class VcAllocator {
   void set_excluded(VcId vc, bool excluded);
 
  private:
-  bool eligible(VcId vc, std::uint8_t mask, bool want_odd, bool ignore_parity) const;
-
-  /// Recompute `vc`'s bit in busy_mask_ after an allocated_/excluded_ edit.
-  void update_busy_bit(VcId vc) {
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << vc);
-    if (allocated_[vc] || excluded_[vc]) {
-      busy_mask_ |= bit;
-    } else {
-      busy_mask_ &= static_cast<std::uint8_t>(~bit);
-    }
-  }
+  static std::uint8_t bit(VcId vc) { return static_cast<std::uint8_t>(1u << vc); }
 
   int vcs_;
   bool enforce_parity_;
-  bool* allocated_;
-  bool* excluded_;
+  std::uint8_t* allocated_;
+  std::uint8_t* excluded_;
   int* rr_;
-  int allocated_count_ = 0;
-  /// Bit v set when VC v is allocated or excluded — i.e. ineligible
-  /// regardless of parity. allocate() fast-fails when the request mask is
-  /// covered by this, which at saturation is the usual outcome even when
-  /// other classes' VCs sit free (so allocated_count_ alone never fires).
-  std::uint8_t busy_mask_ = 0;
 };
 
 }  // namespace ocn::router

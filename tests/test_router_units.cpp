@@ -215,6 +215,24 @@ TEST(VcAllocator, ReleaseMakesVcReusable) {
   EXPECT_EQ(a.free_count(), 4);
 }
 
+// The allocated and excluded masks together are the whole eligibility state:
+// a request they cover fails without moving the rotation pointer, and
+// clearing an exclusion makes that VC grantable again.
+TEST(VcAllocator, CoveredMaskFailsAndUnexcludedVcIsGrantedAgain) {
+  OnePool p(4);
+  VcAllocator a = p.allocator(/*enforce_parity=*/false);
+  EXPECT_EQ(a.allocate(0b0001, false), 0);
+  a.set_excluded(1, true);
+  const int rotation = a.rotation();
+  EXPECT_EQ(rotation, 1);
+  EXPECT_EQ(a.allocate(0b0011, false), kInvalidVc);
+  EXPECT_EQ(a.rotation(), rotation);
+  EXPECT_EQ(a.free_count(), 2);
+  a.set_excluded(1, false);
+  EXPECT_EQ(a.allocate(0b0011, false), 1);
+  EXPECT_EQ(a.rotation(), 2);
+}
+
 TEST(Reservation, SlotLifecycle) {
   OnePool p(8);
   ReservationTable t(16, p.pool.resv_count(0, 0));
@@ -236,7 +254,7 @@ TEST(Reservation, CountsSlots) {
   t.reserve(0, 0, 7);
   t.reserve(4, 1, 7);
   EXPECT_EQ(t.reserved_count(), 2);
-  EXPECT_EQ(p.pool.resv_count_value(0, 0), 2);  // the pool cell IS the count
+  EXPECT_EQ(*p.pool.resv_count(0, 0), 2);  // the pool cell IS the count
 }
 
 TEST(VcBuffer, FifoWithCapacity) {
