@@ -3,7 +3,8 @@
 # (CI job -> what this script runs, same presets and ctest labels):
 #
 #   build-test   cmake --preset ci-{gcc,clang}-{debug,release}; full ctest;
-#                ctest -L analysis.   Matrix legs whose compiler is not
+#                ctest -L analysis; on the first Release leg, ocn-verify
+#                --radix 32 within 20 s.   Matrix legs whose compiler is not
 #                installed are skipped with a note.
 #   asan         cmake --preset asan; full ctest.   (gcc or clang)
 #   ubsan        cmake --preset ubsan; full ctest (UBSan alone, no ASan
@@ -60,6 +61,7 @@ run_matrix_leg() {
 }
 
 FIRST_BUILD=""
+RELEASE_BUILD=""
 for compiler in gcc clang; do
   case "$compiler" in
     gcc) tool=g++ ;;
@@ -72,6 +74,9 @@ for compiler in gcc clang; do
   for build_type in debug release; do
     run_matrix_leg "ci-$compiler-$build_type"
     [[ -z "$FIRST_BUILD" ]] && FIRST_BUILD="build-ci-$compiler-$build_type"
+    if [[ -z "$RELEASE_BUILD" && "$build_type" == release ]]; then
+      RELEASE_BUILD="build-ci-$compiler-$build_type"
+    fi
     if [[ "$FAST" == 1 ]]; then break 2; fi
   done
 done
@@ -142,6 +147,13 @@ echo "== ocn-verify: dateline-disabled radix-6 torus must find the cycle =="
 if "./$FIRST_BUILD/examples/ocn-verify" --topology torus --no-vc-parity --radix 6 --quiet; then
   echo "expected the verifier to reject this config" >&2
   exit 1
+fi
+
+if [[ -n "$RELEASE_BUILD" ]]; then
+  echo "== ocn-verify: the radix-32 deadlock proof must finish within 20 s =="
+  timeout 20 "./$RELEASE_BUILD/examples/ocn-verify" --radix 32 --quiet
+else
+  echo "== ocn-verify: no Release leg built (--fast); skipping the radix-32 scaling gate (CI runs it) =="
 fi
 
 echo "== [bench-smoke] quick benches vs committed baselines =="

@@ -59,6 +59,9 @@ std::vector<Port> RouteComputer::port_path(NodeId src, NodeId dst) const {
   std::vector<Port> path;
   if (src == dst) return path;
   const int k = topo_.radix();
+  // At most k - 1 hops per dimension (a detour included) plus the extract:
+  // one allocation per path.
+  path.reserve(static_cast<std::size_t>(2 * k - 1));
   // Tie-break (ring distance exactly k/2): both members of an antipodal
   // pair orbit the same rotational direction, and pairs alternate direction
   // by the parity of their lower ring index. Every directed ring link then
@@ -100,9 +103,11 @@ std::vector<Port> RouteComputer::port_path(NodeId src, NodeId dst) const {
       dir = to > from ? pos : neg;
       hops = to > from ? to - from : from - to;
     }
-    for (int i = 0; i < hops; ++i) {
-      path.push_back(dir);
-      node = topo_.neighbor(node, dir)->dst;
+    path.insert(path.end(), static_cast<std::size_t>(hops), dir);
+    // A hop changes only its own dimension's ring index, so the walk to the
+    // corner node is needed only to test the next leg for dead links.
+    if (dead_count_ > 0) {
+      for (int i = 0; i < hops; ++i) node = topo_.neighbor(node, dir)->dst;
     }
   }
   path.push_back(Port::kTile);

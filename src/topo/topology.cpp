@@ -35,33 +35,37 @@ std::vector<ChannelDesc> Topology::channels() const {
   return out;
 }
 
-int Topology::min_hops(NodeId src, NodeId dst) const {
-  if (src == dst) return 0;
-  std::vector<int> dist(num_nodes(), -1);
-  std::queue<NodeId> q;
-  dist[src] = 0;
-  q.push(src);
-  while (!q.empty()) {
-    const NodeId n = q.front();
-    q.pop();
+std::vector<int> Topology::hop_distances(NodeId src) const {
+  std::vector<int> dist(static_cast<std::size_t>(num_nodes()), -1);
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(num_nodes()));
+  dist[static_cast<std::size_t>(src)] = 0;
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId n = queue[head];
     for (int p = 0; p < kNumDirPorts; ++p) {
       if (auto link = neighbor(n, static_cast<Port>(p))) {
-        if (dist[link->dst] < 0) {
-          dist[link->dst] = dist[n] + 1;
-          if (link->dst == dst) return dist[link->dst];
-          q.push(link->dst);
+        int& d = dist[static_cast<std::size_t>(link->dst)];
+        if (d < 0) {
+          d = dist[static_cast<std::size_t>(n)] + 1;
+          queue.push_back(link->dst);
         }
       }
     }
   }
-  assert(false && "topology is disconnected");
-  return -1;
+  assert(queue.size() == static_cast<std::size_t>(num_nodes()) &&
+         "topology is disconnected");
+  return dist;
+}
+
+int Topology::min_hops(NodeId src, NodeId dst) const {
+  return hop_distances(src)[static_cast<std::size_t>(dst)];
 }
 
 double Topology::avg_min_hops() const {
   double sum = 0.0;
   for (NodeId s = 0; s < num_nodes(); ++s) {
-    for (NodeId d = 0; d < num_nodes(); ++d) sum += min_hops(s, d);
+    for (const int h : hop_distances(s)) sum += h;
   }
   return sum / (static_cast<double>(num_nodes()) * num_nodes());
 }
@@ -98,6 +102,20 @@ double Topology::avg_min_distance_mm() const {
     for (NodeId d = 0; d < num_nodes(); ++d) sum += mm[d];
   }
   return sum / (static_cast<double>(num_nodes()) * num_nodes());
+}
+
+LinkTable::LinkTable(const Topology& topo)
+    : next_(static_cast<std::size_t>(topo.num_nodes()) * kNumDirPorts,
+            kInvalidNode),
+      dateline_(next_.size(), 0) {
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    for (int p = 0; p < kNumDirPorts; ++p) {
+      const auto port = static_cast<Port>(p);
+      const std::size_t i = index(n, port);
+      if (const auto link = topo.neighbor(n, port)) next_[i] = link->dst;
+      dateline_[i] = topo.crosses_dateline(n, port) ? 1 : 0;
+    }
+  }
 }
 
 }  // namespace ocn::topo

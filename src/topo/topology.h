@@ -7,6 +7,8 @@
 // controller kRowPos (input controllers are named by direction of travel).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,8 +104,12 @@ class Topology {
   /// All channels, for network construction.
   std::vector<ChannelDesc> channels() const;
 
-  /// Minimum hop count between two nodes (BFS over neighbor()); used by
-  /// tests and for analytic cross-checks.
+  /// Minimum hop count from src to every node, indexed by destination: one
+  /// BFS over neighbor(). Callers that need many destinations from one
+  /// source (the route lint, avg_min_hops) take the whole row at once.
+  std::vector<int> hop_distances(NodeId src) const;
+
+  /// Minimum hop count between two nodes: hop_distances(src)[dst].
   int min_hops(NodeId src, NodeId dst) const;
 
   /// Mean minimal hop count over all (src,dst) pairs including self-pairs.
@@ -115,6 +121,29 @@ class Topology {
  protected:
   int radix_;
   double tile_mm_;
+};
+
+/// neighbor() and crosses_dateline() of every (node, direction port), read
+/// once through the virtual interface. Passes that walk all N^2 routes (the
+/// deadlock proof, the route lint) look links up here instead.
+class LinkTable {
+ public:
+  explicit LinkTable(const Topology& topo);
+
+  /// Router the link out of (n, out) enters; kInvalidNode at a mesh
+  /// boundary. `out` must be a direction port.
+  NodeId next(NodeId n, Port out) const { return next_[index(n, out)]; }
+  bool crosses_dateline(NodeId n, Port out) const {
+    return dateline_[index(n, out)] != 0;
+  }
+
+ private:
+  static std::size_t index(NodeId n, Port out) {
+    return static_cast<std::size_t>(n) * kNumDirPorts +
+           static_cast<std::size_t>(out);
+  }
+  std::vector<NodeId> next_;
+  std::vector<std::uint8_t> dateline_;
 };
 
 }  // namespace ocn::topo

@@ -9,11 +9,21 @@
 // plus the dateline VC-transition rules the allocator enforces
 // (Router::effective_dateline / VcAllocator::allocate).
 //
-// The same per-hop expansion (expand_route) feeds three consumers: the CDG
-// builder, the verifier's VC-reachability lint, and the RuntimeMonitor's
-// per-packet hop checks during simulation.
+// The same per-hop expansion — a port path plus one VC mask per hop —
+// feeds three consumers: the CDG builder, the verifier's VC-reachability
+// lint (both from a single walk per (src, dst), shared by every service
+// class), and the RuntimeMonitor's per-packet hop checks during simulation
+// (expand_route into a RouteExpansion the caller reuses).
+//
+// Cost. A channel (n, p, v) has successors only at neighbor(n, p), so its
+// whole out-set is one 64-bit word over bit `port * vcs + vc` at that node
+// (5 ports x vcs <= 8 = at most 40 bits): adding an edge is an OR, edges
+// are never listed, and the graph takes O(channels) memory. Channel ids are
+// handed out in (node, port, vc) order, so ascending bits are ascending ids
+// and find_cycle visits successors in id order.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,34 +42,53 @@ struct ChannelNode {
 };
 
 /// Hop-by-hop expansion of the route src -> dst for one service class:
-/// the router driving hop i, the output port taken, and the set of VCs the
-/// allocator could grant on that hop (singleton under the dateline parity
-/// discipline on direction ports; the whole class pair at the ejection port
-/// where parity is ignored; the injection VC alone in dropping mode, which
-/// keeps the VC index end to end).
+/// the router driving hop i, the output port taken, and the VCs the
+/// allocator could grant on that hop as a mask (bit v = VC v; a singleton
+/// under the dateline parity discipline on direction ports; the whole class
+/// pair at the ejection port where parity is ignored; the injection VC alone
+/// in dropping mode, which keeps the VC index end to end; 0 when no VC is
+/// allocatable and the packet would wedge).
 struct RouteExpansion {
   std::vector<NodeId> nodes;
   std::vector<topo::Port> ports;
-  std::vector<std::vector<VcId>> vc_sets;
+  std::vector<std::uint8_t> vc_masks;
 
   bool empty() const { return ports.empty(); }
   std::size_t hops() const { return ports.size(); }
+  /// True when VC `vc` is allocatable on hop `hop`.
+  bool allows(std::size_t hop, VcId vc) const {
+    return vc >= 0 && vc < 8 && ((vc_masks[hop] >> vc) & 1u) != 0;
+  }
 };
 
-RouteExpansion expand_route(const core::Config& config,
-                            const routing::RouteComputer& routes, NodeId src,
-                            NodeId dst, int service_class);
+/// Overwrites `out` with the expansion of src -> dst (empty for src == dst);
+/// `out`'s buffers are reused, so a caller expanding many routes allocates
+/// once.
+void expand_route(const core::Config& config,
+                  const routing::RouteComputer& routes, NodeId src, NodeId dst,
+                  int service_class, RouteExpansion& out);
 
 /// Expansion for a pre-scheduled flow: same port path, but every hop rides
 /// the dedicated scheduled VC (reservation bypass skips allocation).
-RouteExpansion expand_scheduled_route(const core::Config& config,
-                                      const routing::RouteComputer& routes,
-                                      NodeId src, NodeId dst);
+void expand_scheduled_route(const core::Config& config,
+                            const routing::RouteComputer& routes, NodeId src,
+                            NodeId dst, RouteExpansion& out);
 
 /// Service classes dynamic traffic may inject under this configuration
 /// (class pair must exist within the VC count; the scheduled class is closed
 /// when exclusive_scheduled_vc — Nic::inject refuses it).
 std::vector<int> dynamic_classes(const core::Config& config);
+
+/// A dynamic route with a hop on which no VC is allocatable: the packet
+/// would wedge there forever.
+struct StrandedRoute {
+  NodeId src = kInvalidNode;
+  NodeId dst = kInvalidNode;
+  int service_class = 0;
+  int hop = 0;  ///< first hop with an empty VC mask
+  NodeId node = kInvalidNode;
+  topo::Port port = topo::Port::kTile;
+};
 
 class Cdg {
  public:
@@ -75,29 +104,47 @@ class Cdg {
     return channels_[static_cast<std::size_t>(id)];
   }
 
+  /// False for ids outside the graph.
   bool has_edge(int from, int to) const;
   /// True when some route's first hop can occupy this channel.
-  bool is_start(int id) const { return start_[static_cast<std::size_t>(id)]; }
+  bool is_start(int id) const {
+    return start_[static_cast<std::size_t>(id)] != 0;
+  }
 
   /// One dependency cycle as a channel-id sequence (the edge from the last
   /// entry back to the first closes it), or empty when the graph is acyclic
   /// — the deadlock-freedom proof.
   std::vector<int> find_cycle() const;
 
+  /// Dynamic (src, dst, class) routes with a hop no VC is allocatable on,
+  /// and the first of them in (src, dst, class) order.
+  int stranded_routes() const { return stranded_routes_; }
+  const StrandedRoute& first_stranded() const { return first_stranded_; }
+
   std::string describe(int id) const;
   std::string describe_cycle(const std::vector<int>& cycle) const;
 
  private:
-  void add_edge(int from, int to);
+  /// Adds the dependencies, start channels and stranded routes of every
+  /// (src, dst) route, walking each once for all service classes.
+  void add_routes(const core::Config& config,
+                  const routing::RouteComputer& routes,
+                  const topo::LinkTable& links);
+  /// Channel at the downstream node of `id` named by out-set bit `bit`.
+  int successor(int id, int bit) const;
 
-  const topo::Topology* topo_ = nullptr;
   int vcs_ = 0;
   int num_nodes_ = 0;
   std::vector<ChannelNode> channels_;
-  std::vector<int> id_map_;            // (node, port, vc) -> channel id
-  std::vector<std::vector<int>> adj_;  // sorted, deduplicated
-  std::vector<bool> start_;
+  std::vector<int> id_map_;  // (node, port, vc) -> channel id
+  /// Router each channel's link enters; kInvalidNode for ejection channels.
+  std::vector<NodeId> down_;
+  /// Out-set per channel: bit port * vcs + vc names (down_, port, vc).
+  std::vector<std::uint64_t> out_;
+  std::vector<std::uint8_t> start_;
   std::int64_t num_edges_ = 0;
+  int stranded_routes_ = 0;
+  StrandedRoute first_stranded_;
 };
 
 }  // namespace ocn::verify

@@ -75,7 +75,8 @@ RuntimeMonitor::Track& RuntimeMonitor::track_for(const Flit& f) {
   }
   if (f.priority >= 1000) {
     // Pre-scheduled traffic rides the dedicated VC end to end.
-    t.expected = expand_scheduled_route(net_.config(), net_.routes(), f.src, f.dst);
+    expand_scheduled_route(net_.config(), net_.routes(), f.src, f.dst,
+                           t.expected);
   } else {
     const int cls = class_of_mask(f.vc_mask);
     if (cls < 0) {
@@ -84,7 +85,7 @@ RuntimeMonitor::Track& RuntimeMonitor::track_for(const Flit& f) {
                 " is not a service-class VC pair");
       return t;
     }
-    t.expected = expand_route(net_.config(), net_.routes(), f.src, f.dst, cls);
+    expand_route(net_.config(), net_.routes(), f.src, f.dst, cls, t.expected);
   }
   t.head_vc.assign(t.expected.hops(), kInvalidVc);
   t.cursor.assign(static_cast<std::size_t>(std::max(1, f.packet_flits)), 0);
@@ -144,8 +145,7 @@ void RuntimeMonitor::observe(NodeId node, Port port, const Flit& f, bool bypass)
               topo::port_name(t.expected.ports[i]));
     return;
   }
-  const auto& allowed = t.expected.vc_sets[i];
-  if (std::find(allowed.begin(), allowed.end(), f.vc) == allowed.end()) {
+  if (!t.expected.allows(i, f.vc)) {
     violation("packet " + std::to_string(f.packet) + " hop " +
               std::to_string(i) + " at n" + std::to_string(node) + " " +
               topo::port_name(port) + ": vc" + std::to_string(f.vc) +

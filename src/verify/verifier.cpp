@@ -56,31 +56,36 @@ std::string Report::to_string() const {
   return s;
 }
 
-std::vector<Finding> lint_route(const core::Config& config,
-                                const routing::RouteComputer& routes,
-                                NodeId src, NodeId dst,
-                                const routing::SourceRoute& route) {
+namespace {
+
+/// lint_route over a link table and the source's hop distances, which the
+/// verifier builds once (one BFS per source) for all N^2 routes.
+std::vector<Finding> lint_one(const topo::LinkTable& links, NodeId src,
+                              NodeId dst, const routing::SourceRoute& route,
+                              const std::vector<int>& hop_distances) {
   using routing::TurnCode;
-  const topo::Topology& topo = routes.topology();
   std::vector<Finding> out;
   auto add = [&](Severity s, const char* code, std::string msg) {
     out.push_back({s, code, std::move(msg)});
   };
-  const std::string pair =
-      "route " + std::to_string(src) + "->" + std::to_string(dst);
+  // The label is built only when a finding is emitted: clean routes, the
+  // common case, allocate nothing.
+  const auto pair = [&] {
+    return "route " + std::to_string(src) + "->" + std::to_string(dst);
+  };
 
   if (src == dst) {
     // Self-delivery never enters the network (the encoding has no zero-hop
     // form); any entries would be decoded as a real route.
     if (!route.empty()) {
       add(Severity::kError, "route-self",
-          pair + ": self-addressed packets must carry an empty route");
+          pair() + ": self-addressed packets must carry an empty route");
     }
     return out;
   }
   if (route.empty()) {
     add(Severity::kError, "route-empty",
-        pair + ": empty route for distinct source and destination");
+        pair() + ": empty route for distinct source and destination");
     return out;
   }
 
@@ -95,25 +100,25 @@ std::vector<Finding> lint_route(const core::Config& config,
       col_seen = true;
     } else if (col_seen) {
       add(Severity::kError, "route-dimension-order",
-          pair + ": row move after a column move at node " +
+          pair() + ": row move after a column move at node " +
               std::to_string(node) +
               " (violates the row-then-column turn model the deadlock proof "
               "assumes)");
       return out;
     }
-    const auto link = topo.neighbor(node, heading);
-    if (!link.has_value()) {
+    const NodeId next = links.next(node, heading);
+    if (next == kInvalidNode) {
       add(Severity::kError, "route-off-topology",
-          pair + ": hop " + std::to_string(hops) + " leaves node " +
+          pair() + ": hop " + std::to_string(hops) + " leaves node " +
               std::to_string(node) + " through " + topo::port_name(heading) +
               ", which has no link (mesh boundary)");
       return out;
     }
-    node = link->dst;
+    node = next;
     ++hops;
     if (r.empty()) {
       add(Severity::kError, "route-no-extract",
-          pair + ": route exhausted after " + std::to_string(hops) +
+          pair() + ": route exhausted after " + std::to_string(hops) +
               " hops without an extract entry (the packet would arrive with "
               "an empty route field)");
       return out;
@@ -128,33 +133,44 @@ std::vector<Finding> lint_route(const core::Config& config,
 
   if (extracted && node != dst) {
     add(Severity::kError, "route-wrong-destination",
-        pair + ": extracts at node " + std::to_string(node) +
+        pair() + ": extracts at node " + std::to_string(node) +
             " instead of the destination");
   }
   if (extracted && node == dst) {
-    const int min = topo.min_hops(src, dst);
+    const int min = hop_distances[static_cast<std::size_t>(dst)];
     if (hops > min) {
       add(Severity::kWarning, "route-non-minimal",
-          pair + ": " + std::to_string(hops) + " hops, minimum is " +
+          pair() + ": " + std::to_string(hops) + " hops, minimum is " +
               std::to_string(min));
     }
   }
   if (!r.empty()) {
     add(Severity::kNote, "route-trailing-bits",
-        pair + ": " + std::to_string(r.size()) +
+        pair() + ": " + std::to_string(r.size()) +
             " entries after the extract (ignored by the decode, usable as "
             "data)");
   }
   if (route.bits_required() > routing::SourceRoute::kPaperRouteBits) {
     add(Severity::kWarning, "route-overflow",
-        pair + ": needs " + std::to_string(route.bits_required()) +
+        pair() + ": needs " + std::to_string(route.bits_required()) +
             " bits, exceeding the paper's " +
             std::to_string(routing::SourceRoute::kPaperRouteBits) +
             "-bit route field (the simulator carries up to " +
             std::to_string(2 * routing::SourceRoute::kMaxEntries) + ")");
   }
-  (void)config;
   return out;
+}
+
+}  // namespace
+
+std::vector<Finding> lint_route(const core::Config& config,
+                                const routing::RouteComputer& routes,
+                                NodeId src, NodeId dst,
+                                const routing::SourceRoute& route) {
+  (void)config;
+  const topo::Topology& topo = routes.topology();
+  return lint_one(topo::LinkTable(topo), src, dst, route,
+                  topo.hop_distances(src));
 }
 
 namespace {
@@ -208,11 +224,11 @@ bool precheck(const core::Config& c, std::vector<Finding>& findings) {
 /// one finding carrying an affected-route count.
 class FindingAggregator {
  public:
-  void add(const Finding& f) {
-    auto [it, inserted] = first_.try_emplace(f.code, f);
-    ++count_[f.code];
-    (void)it;
-    (void)inserted;
+  /// Records `routes` routes with this finding; `f` is kept as the code's
+  /// example when it is the first.
+  void add(const Finding& f, int routes = 1) {
+    first_.try_emplace(f.code, f);
+    count_[f.code] += routes;
   }
   void flush(std::vector<Finding>& out) const {
     for (const auto& [code, f] : first_) {
@@ -276,32 +292,30 @@ Report verify(const core::Config& config) {
   }
 
   // --- (2) route lint + per-class VC reachability ---------------------------
+  // The CDG walk above already expanded every (src, dst, class) route and
+  // counted the ones with a hop no VC may be granted on.
   FindingAggregator agg;
-  const auto classes = dynamic_classes(config);
+  const topo::LinkTable links(*topology);
   for (NodeId s = 0; s < n; ++s) {
+    const std::vector<int> dist = topology->hop_distances(s);
     for (NodeId d = 0; d < n; ++d) {
       if (s == d) continue;
       const auto route = routes.compute(s, d);
       rep.max_route_bits = std::max(rep.max_route_bits, route.bits_required());
       ++rep.routes_linted;
-      for (const auto& f : lint_route(config, routes, s, d, route)) {
-        agg.add(f);
-      }
-      for (const int c : classes) {
-        const RouteExpansion e = expand_route(config, routes, s, d, c);
-        for (std::size_t i = 0; i < e.hops(); ++i) {
-          if (!e.vc_sets[i].empty()) continue;
-          agg.add({Severity::kError, "vc-unreachable",
-                   "class " + std::to_string(c) + " route " +
-                       std::to_string(s) + "->" + std::to_string(d) +
-                       ": no allocatable VC at hop " + std::to_string(i) +
-                       " (node " + std::to_string(e.nodes[i]) + " port " +
-                       topo::port_name(e.ports[i]) +
-                       ") — the packet would wedge there forever"});
-          break;
-        }
-      }
+      for (const auto& f : lint_one(links, s, d, route, dist)) agg.add(f);
     }
+  }
+  if (cdg.stranded_routes() > 0) {
+    const StrandedRoute& r = cdg.first_stranded();
+    agg.add({Severity::kError, "vc-unreachable",
+             "class " + std::to_string(r.service_class) + " route " +
+                 std::to_string(r.src) + "->" + std::to_string(r.dst) +
+                 ": no allocatable VC at hop " + std::to_string(r.hop) +
+                 " (node " + std::to_string(r.node) + " port " +
+                 topo::port_name(r.port) +
+                 ") — the packet would wedge there forever"},
+            cdg.stranded_routes());
   }
   agg.flush(rep.findings);
 

@@ -1,8 +1,11 @@
 // Topology structure: neighbours, wire lengths, folding, bisection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "topo/folded_torus.h"
 #include "topo/mesh.h"
@@ -135,6 +138,37 @@ TEST(AvgHops, MatchesAnalyticExpectations) {
   EXPECT_NEAR(t.avg_min_hops(), 2.0, 1e-9);
   const FoldedTorus f(4, kTile);
   EXPECT_NEAR(f.avg_min_hops(), 2.0, 1e-9);  // folding preserves hop structure
+}
+
+TEST(HopDistances, OneBfsMatchesMinHopsAndTheClosedForm) {
+  // One BFS per source answers every destination: each entry equals
+  // min_hops and the closed-form dimension-ordered distance (sum over both
+  // dimensions of the line distance on a mesh, the shorter way around the
+  // ring, in ring order, on either torus).
+  for (int k = 2; k <= 6; ++k) {
+    const Mesh mesh(k, kTile);
+    const Torus torus(k, kTile);
+    const FoldedTorus folded(k, kTile);
+    for (const Topology* t : {static_cast<const Topology*>(&mesh),
+                              static_cast<const Topology*>(&torus),
+                              static_cast<const Topology*>(&folded)}) {
+      for (NodeId s = 0; s < t->num_nodes(); ++s) {
+        const std::vector<int> dist = t->hop_distances(s);
+        ASSERT_EQ(dist.size(), static_cast<std::size_t>(t->num_nodes()));
+        for (NodeId d = 0; d < t->num_nodes(); ++d) {
+          int expect = 0;
+          for (int dim = 0; dim < 2; ++dim) {
+            const int gap = std::abs(t->ring_index(s, dim) - t->ring_index(d, dim));
+            expect += t->has_wraparound() ? std::min(gap, k - gap) : gap;
+          }
+          EXPECT_EQ(dist[static_cast<std::size_t>(d)], t->min_hops(s, d))
+              << t->name() << " " << s << "->" << d;
+          EXPECT_EQ(dist[static_cast<std::size_t>(d)], expect)
+              << t->name() << " " << s << "->" << d;
+        }
+      }
+    }
+  }
 }
 
 TEST(AvgDistance, FoldedTorusTravelsFurtherThanMesh) {

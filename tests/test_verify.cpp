@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/network.h"
@@ -158,12 +161,13 @@ TEST(Verifier, ExcludedVcLeavesAnEmptyAllocatableSet) {
   const auto topology = c.make_topology();
   const routing::RouteComputer routes(*topology);
   bool saw_empty_set = false;
+  verify::RouteExpansion e;
   for (NodeId s = 0; s < topology->num_nodes() && !saw_empty_set; ++s) {
     for (NodeId d = 0; d < topology->num_nodes() && !saw_empty_set; ++d) {
       if (s == d) continue;
-      const auto e = verify::expand_route(c, routes, s, d, /*service_class=*/1);
-      for (const auto& set : e.vc_sets) {
-        if (set.empty()) saw_empty_set = true;
+      verify::expand_route(c, routes, s, d, /*service_class=*/1, e);
+      for (const std::uint8_t mask : e.vc_masks) {
+        if (mask == 0) saw_empty_set = true;
       }
     }
   }
@@ -315,27 +319,29 @@ TEST(Expansion, DatelineDisciplineYieldsSingletonVcSets) {
   const auto topology = c.make_topology();
   const routing::RouteComputer routes(*topology);
   bool saw_odd_after_dateline = false;
+  verify::RouteExpansion e;
   for (NodeId s = 0; s < topology->num_nodes(); ++s) {
     for (NodeId d = 0; d < topology->num_nodes(); ++d) {
       if (s == d) continue;
-      const auto e = verify::expand_route(c, routes, s, d, /*service_class=*/1);
+      verify::expand_route(c, routes, s, d, /*service_class=*/1, e);
       ASSERT_FALSE(e.empty());
+      ASSERT_EQ(e.vc_masks.size(), e.hops());
       bool crossed = false;
       for (std::size_t i = 0; i < e.hops(); ++i) {
         if (e.ports[i] == topo::Port::kTile) {
           // Ejection ignores parity: both pair members stay eligible.
-          EXPECT_EQ(e.vc_sets[i], (std::vector<VcId>{2, 3}));
+          EXPECT_EQ(e.vc_masks[i], 0b1100);
           continue;
         }
-        ASSERT_EQ(e.vc_sets[i].size(), 1u);
+        ASSERT_EQ(std::popcount(e.vc_masks[i]), 1);
         if (topology->crosses_dateline(e.nodes[i], e.ports[i])) crossed = true;
-        if (crossed && e.vc_sets[i].front() == 3) saw_odd_after_dateline = true;
+        if (crossed && e.allows(i, 3)) saw_odd_after_dateline = true;
       }
       // Entry into the network starts on the even VC of the class — unless
       // the very first hop already crosses a dateline.
       if (e.ports[0] != topo::Port::kTile &&
           !topology->crosses_dateline(s, e.ports[0])) {
-        EXPECT_EQ(e.vc_sets[0], (std::vector<VcId>{2}));
+        EXPECT_EQ(e.vc_masks[0], 0b0100);
       }
     }
   }
@@ -348,11 +354,203 @@ TEST(Expansion, ScheduledRoutesRideTheDedicatedVc) {
   c.router.exclusive_scheduled_vc = true;
   const auto topology = c.make_topology();
   const routing::RouteComputer routes(*topology);
-  const auto e = verify::expand_scheduled_route(c, routes, 0, 15);
+  verify::RouteExpansion e;
+  verify::expand_scheduled_route(c, routes, 0, 15, e);
   ASSERT_FALSE(e.empty());
-  for (const auto& set : e.vc_sets) {
-    EXPECT_EQ(set, std::vector<VcId>{c.router.scheduled_vc});
+  for (const std::uint8_t mask : e.vc_masks) {
+    EXPECT_EQ(mask, 1u << c.router.scheduled_vc);
   }
+}
+
+// --- CDG representation: one out-set word per channel ------------------------
+
+TEST(Cdg, PaperBaselineSizes) {
+  const Config c = Config::paper_baseline();
+  const auto topology = c.make_topology();
+  const routing::RouteComputer routes(*topology);
+  const verify::Cdg cdg(c, routes);
+  EXPECT_EQ(cdg.num_channels(), 640);  // 16 routers x 5 ports x 8 VCs
+  EXPECT_EQ(cdg.num_edges(), 896);
+  // The popcount total and the per-pair bit test describe the same graph.
+  std::int64_t edges = 0;
+  for (int from = 0; from < cdg.num_channels(); ++from) {
+    for (int to = 0; to < cdg.num_channels(); ++to) {
+      if (cdg.has_edge(from, to)) ++edges;
+    }
+  }
+  EXPECT_EQ(edges, cdg.num_edges());
+}
+
+TEST(Cdg, HasEdgeRejectsWhatNoRouteProduces) {
+  const Config c = Config::paper_baseline();
+  const auto topology = c.make_topology();
+  const routing::RouteComputer routes(*topology);
+  const verify::Cdg cdg(c, routes);
+  // A real dependency: the first two links of the longest route from node 0.
+  verify::RouteExpansion e;
+  NodeId far = 1;
+  for (NodeId d = 1; d < topology->num_nodes(); ++d) {
+    if (routes.hop_count(0, d) > routes.hop_count(0, far)) far = d;
+  }
+  verify::expand_route(c, routes, 0, far, /*service_class=*/0, e);
+  ASSERT_GE(e.hops(), 3u);
+  const int from = cdg.channel_id(e.nodes[0], e.ports[0],
+                                  std::countr_zero(e.vc_masks[0]));
+  const int to = cdg.channel_id(e.nodes[1], e.ports[1],
+                                std::countr_zero(e.vc_masks[1]));
+  ASSERT_GE(from, 0);
+  ASSERT_GE(to, 0);
+  ASSERT_TRUE(cdg.has_edge(from, to));
+
+  EXPECT_FALSE(cdg.has_edge(-1, to));
+  EXPECT_FALSE(cdg.has_edge(from, -1));
+  EXPECT_FALSE(cdg.has_edge(cdg.num_channels(), to));
+  // The reverse dependency is not produced by any route.
+  EXPECT_FALSE(cdg.has_edge(to, from));
+  // Same port and VC as `to`, but at a router the link of `from` does not
+  // enter: the out-set bit matches, the node does not.
+  const auto& head = cdg.channel(to);
+  for (NodeId n = 0; n < topology->num_nodes(); ++n) {
+    if (n == head.src) continue;
+    const int other = cdg.channel_id(n, head.port, head.vc);
+    if (other < 0) continue;
+    EXPECT_FALSE(cdg.has_edge(from, other)) << cdg.describe(other);
+  }
+}
+
+TEST(Cdg, EveryFirstHopChannelIsAStart) {
+  Config c = Config::paper_baseline();
+  c.router.exclusive_scheduled_vc = true;
+  const auto topology = c.make_topology();
+  const routing::RouteComputer routes(*topology);
+  const verify::Cdg cdg(c, routes);
+  verify::RouteExpansion e;
+  for (NodeId s = 0; s < topology->num_nodes(); ++s) {
+    for (NodeId d = 0; d < topology->num_nodes(); ++d) {
+      if (s == d) continue;
+      for (const int cls : verify::dynamic_classes(c)) {
+        verify::expand_route(c, routes, s, d, cls, e);
+        ASSERT_FALSE(e.empty());
+        for (VcId v = 0; v < c.router.vcs; ++v) {
+          if (!e.allows(0, v)) continue;
+          EXPECT_TRUE(cdg.is_start(cdg.channel_id(e.nodes[0], e.ports[0], v)))
+              << s << "->" << d << " class " << cls << " vc" << v;
+        }
+      }
+      verify::expand_scheduled_route(c, routes, s, d, e);
+      EXPECT_TRUE(cdg.is_start(
+          cdg.channel_id(e.nodes[0], e.ports[0], c.router.scheduled_vc)));
+    }
+  }
+}
+
+// --- golden verifier matrix --------------------------------------------------
+
+// Every verdict the verifier prints over the golden matrix: topology x vcs
+// {1,2,3,4,8} x dateline parity x dropping x exclusive scheduled VC at radix
+// {3,4,5,8}, then the radix-6 dateline-disabled torus whose witness the CDG
+// tests replay. Each config is one "== ..." header, the full report text and
+// one "cycle: " line per witness channel.
+std::string verify_matrix_text() {
+  struct Topo {
+    core::TopologyKind kind;
+    const char* name;
+  };
+  const Topo topos[] = {{core::TopologyKind::kFoldedTorus, "folded_torus"},
+                        {core::TopologyKind::kTorus, "torus"},
+                        {core::TopologyKind::kMesh, "mesh"}};
+  std::string out;
+  auto emit = [&](const core::Config& c, const char* topo_name) {
+    out += "== " + std::string(topo_name) + " K=" + std::to_string(c.radix) +
+           " vcs=" + std::to_string(c.router.vcs) +
+           " parity=" + std::to_string(c.router.enforce_vc_parity) +
+           " dropping=" + std::to_string(c.router.dropping()) +
+           " exclusive=" + std::to_string(c.router.exclusive_scheduled_vc) +
+           "\n";
+    const verify::Report rep = verify::verify(c);
+    out += rep.to_string();
+    for (const auto& ch : rep.cycle) out += "cycle: " + ch + "\n";
+  };
+  for (const int radix : {3, 4, 5, 8}) {
+    for (const Topo& t : topos) {
+      for (const int vcs : {1, 2, 3, 4, 8}) {
+        for (const bool parity : {true, false}) {
+          for (const bool dropping : {false, true}) {
+            for (const bool exclusive : {false, true}) {
+              core::Config c = core::Config::paper_baseline();
+              c.topology = t.kind;
+              c.radix = radix;
+              c.router.vcs = vcs;
+              c.router.scheduled_vc = vcs - 1;
+              c.router.enforce_vc_parity = parity;
+              if (dropping) c.router.flow_control = router::FlowControl::kDropping;
+              c.router.exclusive_scheduled_vc = exclusive;
+              emit(c, t.name);
+            }
+          }
+        }
+      }
+    }
+  }
+  core::Config c = core::Config::paper_baseline();
+  c.topology = core::TopologyKind::kTorus;
+  c.radix = 6;
+  c.router.enforce_vc_parity = false;
+  emit(c, "torus");
+  return out;
+}
+
+std::string read_golden_matrix() {
+  std::ifstream in(std::string(OCN_TEST_DATA_DIR) + "/verify_matrix_golden.txt");
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(Verifier, MatrixReportsMatchGolden) {
+  const std::string golden = read_golden_matrix();
+  ASSERT_FALSE(golden.empty()) << "tests/data/verify_matrix_golden.txt missing";
+  const std::string actual = verify_matrix_text();
+  if (actual == golden) return;
+  // Point at the first differing line instead of dumping both files.
+  std::istringstream a(actual), g(golden);
+  std::string la, lg, header;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_g = static_cast<bool>(std::getline(g, lg));
+    if (!more_a && !more_g) break;
+    if (more_g && lg.rfind("== ", 0) == 0) header = lg;
+    if (!more_a || !more_g || la != lg) {
+      FAIL() << "line " << line << " (config " << header << ")\n  golden: "
+             << (more_g ? lg : "<eof>") << "\n  actual: "
+             << (more_a ? la : "<eof>");
+    }
+  }
+}
+
+TEST(Cdg, Radix6WitnessMatchesGolden) {
+  // The dateline-disabled radix-6 torus (ocn-verify --topology torus
+  // --no-vc-parity --radix 6): the DFS must close the same cycle, channel
+  // for channel and in the same order, as the recorded verifier did.
+  const std::string golden = read_golden_matrix();
+  const std::string header =
+      "== torus K=6 vcs=8 parity=0 dropping=0 exclusive=0\n";
+  const auto at = golden.find(header);
+  ASSERT_NE(at, std::string::npos);
+  std::istringstream section(golden.substr(at + header.size()));
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(section, line) && line.rfind("== ", 0) != 0;) {
+    if (line.rfind("cycle: ", 0) == 0) expected.push_back(line.substr(7));
+  }
+  ASSERT_EQ(expected.size(), 6u);
+
+  const Config c = torus_no_dateline(6);
+  const auto topology = c.make_topology();
+  const routing::RouteComputer routes(*topology);
+  const verify::Cdg cdg(c, routes);
+  std::vector<std::string> actual;
+  for (const int id : cdg.find_cycle()) actual.push_back(cdg.describe(id));
+  EXPECT_EQ(actual, expected);
 }
 
 // --- hardened Config::validate ----------------------------------------------
